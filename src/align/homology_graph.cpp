@@ -225,14 +225,8 @@ std::vector<u8> verify_candidate_pairs(const seq::SequenceSet& sequences,
       totals.simd += simd_counters;
     };
     obs::HostSpan span(tracer, "homology.verify");
-    if (config.num_threads == 1) {
-      verify(0, surviving.size());
-    } else if (config.num_threads == 0) {
-      util::default_thread_pool().parallel_for(0, surviving.size(), verify);
-    } else {
-      util::ThreadPool pool(config.num_threads);
-      pool.parallel_for(0, surviving.size(), verify);
-    }
+    util::Workers(config.num_threads).parallel_for(0, surviving.size(),
+                                                   verify);
   }
 
   totals.num_candidate_pairs = pairs.size();
@@ -270,7 +264,8 @@ graph::CsrGraph build_homology_graph(const seq::SequenceSet& sequences,
         break;
       case SeedMode::KmerCount:
         pairs = find_candidate_pairs(sequences, config.seeds,
-                                     &seed_peak_bytes);
+                                     &seed_peak_bytes, tracer,
+                                     config.num_threads);
         break;
     }
   }

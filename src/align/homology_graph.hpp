@@ -90,7 +90,9 @@ struct HomologyGraphConfig {
   /// ">= 30-40% identity" homology convention).
   double min_identity = 0.0;
 
-  std::size_t num_threads = 0;  ///< 0: default pool
+  /// Workers of the KmerCount seed stage and host verification
+  /// (util::Workers): 0 the default pool, 1 serial, n a pool of n.
+  std::size_t num_threads = 0;
 };
 
 struct HomologyGraphStats {

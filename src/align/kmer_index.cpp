@@ -1,136 +1,206 @@
 #include "align/kmer_index.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+#include <utility>
 
-#include "seq/alphabet.hpp"
-#include "util/rng.hpp"
+#include "obs/trace.hpp"
+#include "seq/sketch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gpclust::align {
 
 namespace {
 
-/// One (k-mer, sequence) occurrence, flat for sort-based indexing.
-struct KmerPosting {
-  u64 code;
-  u32 seq;
-  u32 pos;  ///< first occurrence of the k-mer in the sequence
-};
-
 /// One shared seed between a pair, packed for sort-based aggregation.
 struct PairSeed {
   u64 key;   ///< (a << 32) | b, a < b
   i32 diag;  ///< pos_in_a - pos_in_b of the seed's first occurrences
+
+  friend auto operator<=>(const PairSeed&, const PairSeed&) = default;
 };
+static_assert(sizeof(PairSeed) == 16);
+
+/// Splits the (code, id)-sorted postings into up to `parts` contiguous
+/// ranges that never cut a code run. Returns parts + 1 boundaries.
+std::vector<std::size_t> split_at_code_runs(
+    const std::vector<seq::KmerPosting>& postings, std::size_t parts) {
+  const std::size_t n = postings.size();
+  std::vector<std::size_t> bounds(parts + 1, n);
+  bounds[0] = 0;
+  for (std::size_t j = 1; j < parts; ++j) {
+    std::size_t b = std::max(bounds[j - 1], j * n / parts);
+    while (b > 0 && b < n && postings[b].code == postings[b - 1].code) ++b;
+    bounds[j] = b;
+  }
+  return bounds;
+}
+
+/// Calls fn(lo, hi) for every run of equal pair key in the (key, diag)-
+/// sorted records [first, last) that holds at least `min_shared` seeds.
+template <typename Fn>
+void for_each_promoted_pair(const PairSeed* first, const PairSeed* last,
+                            std::size_t min_shared, Fn&& fn) {
+  for (const PairSeed* lo = first; lo != last;) {
+    const PairSeed* hi = lo + 1;
+    while (hi != last && hi->key == lo->key) ++hi;
+    if (static_cast<std::size_t>(hi - lo) >= min_shared) fn(lo, hi);
+    lo = hi;
+  }
+}
+
+/// u64 counter bumped from several workers at once.
+u64 fetch_add(u64& slot, u64 delta) {
+  return std::atomic_ref<u64>(slot).fetch_add(delta,
+                                              std::memory_order_relaxed);
+}
 
 }  // namespace
 
 std::vector<CandidatePair> find_candidate_pairs(
     const seq::SequenceSet& sequences, const KmerIndexConfig& config,
-    std::size_t* peak_candidate_bytes) {
+    std::size_t* peak_candidate_bytes, obs::Tracer* tracer,
+    std::size_t num_threads) {
   GPCLUST_CHECK(config.k >= 2 && config.k <= 12, "k must be in [2, 12]");
   GPCLUST_CHECK(config.min_shared_kmers >= 1,
                 "min_shared_kmers must be positive");
-  // Live-buffer high-water mark, updated at the end of each stage while
-  // every earlier buffer is still alive (size-based, deterministic).
+  const util::Workers workers(num_threads);
+  const std::size_t n = sequences.size();
+  // Live-buffer high-water mark, updated at the end of each stage over
+  // the buffers alive then (size-based, deterministic).
   std::size_t peak_bytes = 0;
   const auto note_peak = [&peak_bytes](std::size_t bytes) {
     peak_bytes = std::max(peak_bytes, bytes);
   };
 
-  // Flat sort-based index — replaces a hash map of postings vectors that
-  // was the hot spot here (per-bucket allocations, rehashing, scattered
-  // access): every structure below is one contiguous array the sorts
-  // touch sequentially. First, all (k-mer, sequence) occurrences, made
-  // distinct per sequence in place (sort the sequence's subrange by
-  // (code, pos), keep each code's first occurrence).
-  std::vector<KmerPosting> postings;
-  for (std::size_t i = 0; i < sequences.size(); ++i) {
-    const std::string& r = sequences[i].residues;
-    if (r.size() < config.k) continue;
-    const auto start = static_cast<std::ptrdiff_t>(postings.size());
-    for (std::size_t pos = 0; pos + config.k <= r.size(); ++pos) {
-      u64 code = 0;
-      for (std::size_t j = 0; j < config.k; ++j) {
-        code = code * seq::kNumResidues + seq::residue_index(r[pos + j]);
-      }
-      postings.push_back({code, static_cast<u32>(i), static_cast<u32>(pos)});
-    }
-    std::sort(postings.begin() + start, postings.end(),
-              [](const KmerPosting& x, const KmerPosting& y) {
-                return std::pair(x.code, x.pos) < std::pair(y.code, y.pos);
-              });
-    postings.erase(std::unique(postings.begin() + start, postings.end(),
-                               [](const KmerPosting& x, const KmerPosting& y) {
-                                 return x.code == y.code;
-                               }),
-                   postings.end());
+  // The masked A * A^T product, row-partitioned (the PASTIS layout): the
+  // per-seed record of a pair (a, b), a < b, lands in bucket a of one
+  // exactly-sized array, so every bucket sorts and scans on its own.
+  // Bucket a is seeds[offsets[a] .. offsets[a + 1]); `cursor` is per-bucket
+  // scratch (scatter slots, then emitted-pair counts and offsets).
+  std::vector<u64> offsets(n + 1, 0);
+  std::vector<u64> cursor(n + 1, 0);
+  const std::size_t bucket_bytes = 2 * (n + 1) * sizeof(u64);
+
+  std::vector<seq::KmerPosting> postings;
+  {
+    obs::HostSpan span(tracer, "homology.seed.postings");
+    postings = seq::build_kmer_postings(
+        n,
+        [&sequences](std::size_t i) -> std::string_view {
+          return sequences[i].residues;
+        },
+        config.k, workers);
   }
+  const std::size_t postings_bytes =
+      postings.capacity() * sizeof(seq::KmerPosting);
+  note_peak(postings_bytes + bucket_bytes);
 
-  note_peak(postings.size() * sizeof(KmerPosting));
-
-  // Group occurrences by k-mer: one global sort by (code, seq) — seq
-  // ascending within a code run keeps pair keys (a << 32 | b) ordered.
-  std::sort(postings.begin(), postings.end(),
-            [](const KmerPosting& x, const KmerPosting& y) {
-              return std::pair(x.code, x.seq) < std::pair(y.code, y.seq);
-            });
-
-  // Emit one flat (pair-key, diagonal) record per shared seed.
-  std::vector<PairSeed> seeds;
-  for (std::size_t lo = 0; lo < postings.size();) {
-    std::size_t hi = lo;
-    while (hi < postings.size() && postings[hi].code == postings[lo].code) {
-      ++hi;
-    }
-    const std::size_t occurrences = hi - lo;
-    if (occurrences >= 2 && occurrences <= config.max_kmer_occurrences) {
-      for (std::size_t x = lo; x < hi; ++x) {
-        for (std::size_t y = x + 1; y < hi; ++y) {
-          seeds.push_back(
-              {(static_cast<u64>(postings[x].seq) << 32) | postings[y].seq,
-               static_cast<i32>(postings[x].pos) -
-                   static_cast<i32>(postings[y].pos)});
-        }
-      }
-    }
-    lo = hi;
-  }
-  std::sort(seeds.begin(), seeds.end(),
-            [](const PairSeed& x, const PairSeed& y) {
-              return std::pair(x.key, x.diag) < std::pair(y.key, y.diag);
-            });
-  note_peak(postings.size() * sizeof(KmerPosting) +
-            seeds.size() * sizeof(PairSeed));
-
-  // Scan runs of equal key: run length = shared-seed count; the pair's
-  // representative diagonal is the mode (smallest diagonal on ties, which
-  // the ascending sort yields for free).
-  std::vector<CandidatePair> pairs;
-  for (std::size_t lo = 0; lo < seeds.size();) {
-    std::size_t hi = lo;
-    while (hi < seeds.size() && seeds[hi].key == seeds[lo].key) ++hi;
-    const u32 count = static_cast<u32>(hi - lo);
-    if (count >= config.min_shared_kmers) {
-      i32 mode_diag = seeds[lo].diag;
-      std::size_t mode_len = 0;
-      for (std::size_t i = lo; i < hi;) {
-        std::size_t j = i;
-        while (j < hi && seeds[j].diag == seeds[i].diag) ++j;
-        if (j - i > mode_len) {
-          mode_len = j - i;
-          mode_diag = seeds[i].diag;
+  obs::HostSpan span(tracer, "homology.seed.pairs");
+  // Code runs of 2 .. max_kmer_occurrences postings seed pairs; posting x
+  // of a run seeds one record per later posting y of the run (the run is
+  // id-sorted, so id_x < id_y). A run never straddles two workers.
+  const auto runs = split_at_code_runs(postings, workers.size());
+  const auto for_each_seeding_posting = [&](auto&& fn) {
+    workers.parallel_for(0, runs.size() - 1, [&](std::size_t lo,
+                                                 std::size_t hi) {
+      for (std::size_t i = runs[lo]; i < runs[hi];) {
+        std::size_t j = i + 1;
+        while (j < runs[hi] && postings[j].code == postings[i].code) ++j;
+        if (j - i >= 2 && j - i <= config.max_kmer_occurrences) {
+          for (std::size_t x = i; x + 1 < j; ++x) fn(x, j);
         }
         i = j;
       }
-      pairs.push_back({static_cast<u32>(seeds[lo].key >> 32),
-                       static_cast<u32>(seeds[lo].key & 0xffffffffu), count,
-                       mode_diag});
+    });
+  };
+
+  // Count each bucket's records, then place the buckets.
+  for_each_seeding_posting([&](std::size_t x, std::size_t run_end) {
+    fetch_add(offsets[postings[x].id + 1], run_end - x - 1);
+  });
+  for (std::size_t a = 0; a < n; ++a) offsets[a + 1] += offsets[a];
+  const u64 num_seeds = offsets[n];
+  std::copy(offsets.begin(), offsets.end(), cursor.begin());
+
+  // Scatter: each posting reserves its records' slots in its bucket. Slot
+  // order inside a bucket depends on scheduling; the bucket sort below
+  // keys on every field, so the sorted bucket does not.
+  const std::unique_ptr<PairSeed[]> seeds(new PairSeed[num_seeds]);
+  for_each_seeding_posting([&](std::size_t x, std::size_t run_end) {
+    const seq::KmerPosting& px = postings[x];
+    u64 slot = fetch_add(cursor[px.id], run_end - x - 1);
+    for (std::size_t y = x + 1; y < run_end; ++y) {
+      seeds[slot++] = {(static_cast<u64>(px.id) << 32) | postings[y].id,
+                       static_cast<i32>(px.pos) -
+                           static_cast<i32>(postings[y].pos)};
     }
-    lo = hi;
+  });
+  note_peak(postings_bytes + bucket_bytes + num_seeds * sizeof(PairSeed));
+  obs::add_counter(tracer, "homology_seed_records", num_seeds);
+  std::vector<seq::KmerPosting>().swap(postings);
+
+  // Buckets dealt out to the workers by record count.
+  const std::size_t parts = workers.size();
+  std::vector<std::size_t> bucket_bounds(parts + 1, n);
+  bucket_bounds[0] = 0;
+  for (std::size_t j = 1; j < parts; ++j) {
+    const auto it = std::lower_bound(offsets.begin(), offsets.begin() + n,
+                                     j * num_seeds / parts);
+    bucket_bounds[j] = std::max(bucket_bounds[j - 1],
+                                static_cast<std::size_t>(it - offsets.begin()));
   }
-  // seeds are sorted by key, so `pairs` is already (a, b)-ordered.
-  note_peak(postings.size() * sizeof(KmerPosting) +
-            seeds.size() * sizeof(PairSeed) +
+  const auto for_each_bucket = [&](auto&& fn) {
+    workers.parallel_for(0, parts, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t a = bucket_bounds[lo]; a < bucket_bounds[hi]; ++a) {
+        fn(a, seeds.get() + offsets[a], seeds.get() + offsets[a + 1]);
+      }
+    });
+  };
+
+  // Sort each bucket by (b, diag) and count the pairs it promotes.
+  for_each_bucket([&](std::size_t a, PairSeed* first, PairSeed* last) {
+    std::sort(first, last);
+    u64 promoted = 0;
+    for_each_promoted_pair(first, last, config.min_shared_kmers,
+                           [&](const PairSeed*, const PairSeed*) {
+                             ++promoted;
+                           });
+    cursor[a] = promoted;
+  });
+  u64 num_pairs = 0;
+  for (std::size_t a = 0; a < n; ++a) {
+    num_pairs += std::exchange(cursor[a], num_pairs);
+  }
+
+  // Scan: run length = shared-seed count; the pair's representative
+  // diagonal is the mode (smallest diagonal on ties, which the ascending
+  // sort yields for free). Buckets land in a order, each already
+  // b-ordered, so `pairs` is (a, b)-ordered.
+  std::vector<CandidatePair> pairs(num_pairs);
+  for_each_bucket([&](std::size_t a, PairSeed* first, PairSeed* last) {
+    CandidatePair* out = pairs.data() + cursor[a];
+    for_each_promoted_pair(
+        first, last, config.min_shared_kmers,
+        [&](const PairSeed* lo, const PairSeed* hi) {
+          i32 mode_diag = lo->diag;
+          std::ptrdiff_t mode_len = 0;
+          for (const PairSeed* i = lo; i != hi;) {
+            const PairSeed* j = i;
+            while (j != hi && j->diag == i->diag) ++j;
+            if (j - i > mode_len) {
+              mode_len = j - i;
+              mode_diag = i->diag;
+            }
+            i = j;
+          }
+          *out++ = {static_cast<u32>(a),
+                    static_cast<u32>(lo->key & 0xffffffffu),
+                    static_cast<u32>(hi - lo), mode_diag};
+        });
+  });
+  note_peak(bucket_bytes + num_seeds * sizeof(PairSeed) +
             pairs.size() * sizeof(CandidatePair));
   if (peak_candidate_bytes != nullptr) *peak_candidate_bytes = peak_bytes;
   return pairs;

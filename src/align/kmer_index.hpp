@@ -6,11 +6,14 @@
 // same "exact-match seed" filtering idea with a simpler, well-understood
 // data structure (documented substitution, DESIGN.md §1).
 
-#include <unordered_map>
 #include <vector>
 
 #include "seq/sequence.hpp"
 #include "util/common.hpp"
+
+namespace gpclust::obs {
+class Tracer;
+}
 
 namespace gpclust::align {
 
@@ -35,13 +38,19 @@ struct CandidatePair {
 };
 
 /// Builds the k-mer index over `sequences` and reports all promising pairs
-/// (a < b) with their shared-seed counts. When `peak_candidate_bytes` is
-/// non-null it receives the high-water mark of the stage's live buffers
-/// (postings, per-seed pair records, emitted pairs), in bytes — size-based
-/// and deterministic, so bench_graph_scale's memory-budget comparison is
-/// measured from the actual buffers rather than estimated.
+/// (a < b), (a, b)-ordered, with their shared-seed counts. When
+/// `peak_candidate_bytes` is non-null it receives the high-water mark of
+/// the stage's live buffers (postings, bucket offsets, per-seed pair
+/// records, emitted pairs), in bytes — size-based and deterministic, so
+/// bench_graph_scale's memory-budget comparison is measured from the
+/// actual buffers rather than estimated. `tracer` (optional) receives the
+/// "homology.seed.postings" / "homology.seed.pairs" spans and the
+/// "homology_seed_records" counter. `num_threads` follows
+/// HomologyGraphConfig::num_threads (0: default pool, 1: serial); the
+/// result does not depend on it.
 std::vector<CandidatePair> find_candidate_pairs(
     const seq::SequenceSet& sequences, const KmerIndexConfig& config = {},
-    std::size_t* peak_candidate_bytes = nullptr);
+    std::size_t* peak_candidate_bytes = nullptr,
+    obs::Tracer* tracer = nullptr, std::size_t num_threads = 0);
 
 }  // namespace gpclust::align

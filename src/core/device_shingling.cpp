@@ -1,5 +1,6 @@
 #include "core/device_shingling.hpp"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "core/shingle.hpp"
@@ -68,9 +69,14 @@ void commit_effects(BatchEffects&& fx, ShingleTuples& tuples,
                     PendingMap& pending) {
   for (u32 id : fx.erased) pending.erase(id);
   for (auto& [id, acc] : fx.updated) pending[id] = std::move(acc);
-  for (std::size_t i = 0; i < fx.tuples.size(); ++i) {
-    tuples.append(fx.tuples.shingle[i], fx.tuples.owner[i]);
+  if (tuples.size() == 0) {
+    tuples = std::move(fx.tuples);
+    return;
   }
+  tuples.shingle.insert(tuples.shingle.end(), fx.tuples.shingle.begin(),
+                        fx.tuples.shingle.end());
+  tuples.owner.insert(tuples.owner.end(), fx.tuples.owner.begin(),
+                      fx.tuples.owner.end());
 }
 
 /// Shared consume step (identical for the device and CPU-fallback paths):
@@ -130,6 +136,12 @@ BatchEffects process_batch_device(device::DeviceContext& ctx,
   const u32 c = family.size();
   const std::size_t nsegs = batch.num_segments();
   const std::size_t nelems = batch.num_elements();
+  // Every segment that ends its list emits one tuple per trial.
+  const auto ending = static_cast<std::size_t>(std::count_if(
+      batch.seg_ends_list.begin(), batch.seg_ends_list.end(),
+      [](u8 ends) { return ends != 0; }));
+  fx.tuples.shingle.reserve(ending * c);
+  fx.tuples.owner.reserve(ending * c);
 
   {  // CPU aggregates the batch for the device (Figure 3, step 1).
     util::ScopedTimer t(reg, cpu_metric);

@@ -9,7 +9,18 @@ namespace gpclust::core {
 
 namespace {
 constexpr u32 kMaxShingleSize = 64;
+
+/// Hash evaluations of one shingling level: each of `trials` hashes every
+/// member of every list long enough to shingle.
+u64 hash_evaluations(std::span<const u64> offsets, u32 trials, u32 s) {
+  u64 members = 0;
+  for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
+    const u64 len = offsets[i + 1] - offsets[i];
+    if (len >= s) members += len;
+  }
+  return members * trials;
 }
+}  // namespace
 
 ShingleTuples extract_shingles_serial(std::span<const u64> offsets,
                                       std::span<const u32> members,
@@ -54,6 +65,8 @@ Clustering SerialShingler::cluster(const graph::CsrGraph& g,
     tuples1 = extract_shingles_serial(g.offsets(), g.adjacency(), family1,
                                       params_.s1);
   }
+  obs::add_counter(tracer, "hash_evaluations",
+                   hash_evaluations(g.offsets(), params_.c1, params_.s1));
   obs::add_counter(tracer, "tuples", tuples1.size());
   BipartiteShingleGraph gi;
   {
@@ -70,6 +83,8 @@ Clustering SerialShingler::cluster(const graph::CsrGraph& g,
     tuples2 =
         extract_shingles_serial(gi.offsets, gi.members, family2, params_.s2);
   }
+  obs::add_counter(tracer, "hash_evaluations",
+                   hash_evaluations(gi.offsets, params_.c2, params_.s2));
   obs::add_counter(tracer, "tuples", tuples2.size());
   BipartiteShingleGraph gii;
   {

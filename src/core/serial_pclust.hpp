@@ -38,8 +38,9 @@ class SerialShingler {
   /// profile the paper uses to show ~80% of serial time is in shingling.
   /// When `tracer` is provided, the same phases are recorded as
   /// host-measured spans ("shingling1", "aggregate1", ...) plus the
-  /// "sequences"/"tuples"/"shingles" counters; every span of a serial run
-  /// is host-measured (there is no device).
+  /// "sequences"/"tuples"/"shingles" counters and "hash_evaluations" (one
+  /// per trial per member of every list that shingles, both levels); every
+  /// span of a serial run is host-measured (there is no device).
   Clustering cluster(const graph::CsrGraph& g,
                      util::MetricsRegistry* metrics = nullptr,
                      obs::Tracer* tracer = nullptr) const;

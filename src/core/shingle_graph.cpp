@@ -13,6 +13,7 @@ BipartiteShingleGraph group_packed(std::vector<__uint128_t>&& packed) {
   packed.erase(std::unique(packed.begin(), packed.end()), packed.end());
 
   BipartiteShingleGraph g;
+  g.members.reserve(packed.size());
   g.offsets.push_back(0);
   ShingleId current = 0;
   bool in_group = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "seq/alphabet.hpp"
+#include "util/parallel_sort.hpp"
 #include "util/rng.hpp"
 
 namespace gpclust::seq {
@@ -38,19 +39,79 @@ u64 band_key(u64 band, std::span<const u64> slots) {
   return h;
 }
 
+namespace {
+
+/// The k-mer starting at `pos` (caller guarantees pos + k <= size).
+u64 kmer_code(std::string_view residues, std::size_t pos, std::size_t k) {
+  u64 code = 0;
+  for (std::size_t j = 0; j < k; ++j) {
+    code = code * kNumResidues + residue_index(residues[pos + j]);
+  }
+  return code;
+}
+
+/// Code of a slot that lost the first-occurrence race to an earlier
+/// window of the same k-mer. Real codes stay below 25^12 < 2^57, so the
+/// marked slots sort after every real posting.
+constexpr u64 kDuplicateCode = ~0ull;
+
+}  // namespace
+
 void distinct_kmer_codes(std::string_view residues, std::size_t k,
                          std::vector<u64>& out) {
   out.clear();
   if (residues.size() < k) return;
   for (std::size_t pos = 0; pos + k <= residues.size(); ++pos) {
-    u64 code = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      code = code * kNumResidues + residue_index(residues[pos + j]);
-    }
-    out.push_back(code);
+    out.push_back(kmer_code(residues, pos, k));
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
+}
+
+std::vector<KmerPosting> build_kmer_postings(
+    std::size_t num_sequences,
+    const std::function<std::string_view(std::size_t)>& residues_of,
+    std::size_t k, const util::Workers& workers) {
+  // Sequence i owns slots [start[i], start[i + 1]): one per k-mer window.
+  std::vector<u64> start(num_sequences + 1, 0);
+  for (std::size_t i = 0; i < num_sequences; ++i) {
+    const std::size_t len = residues_of(i).size();
+    start[i + 1] = start[i] + (len >= k ? len - k + 1 : 0);
+  }
+  std::vector<KmerPosting> postings(start[num_sequences]);
+
+  // Per sequence: every window, sorted by (code, pos); each code keeps its
+  // first occurrence and the later windows are marked duplicate.
+  workers.parallel_for(0, num_sequences, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      const std::string_view residues = residues_of(i);
+      const auto first =
+          postings.begin() + static_cast<std::ptrdiff_t>(start[i]);
+      const auto last =
+          postings.begin() + static_cast<std::ptrdiff_t>(start[i + 1]);
+      for (auto it = first; it != last; ++it) {
+        const auto pos = static_cast<std::size_t>(it - first);
+        *it = {kmer_code(residues, pos, k), static_cast<u32>(i),
+               static_cast<u32>(pos)};
+      }
+      std::sort(first, last);  // id is constant: (code, pos) order
+      for (auto it = first, kept = first; it != last; ++it) {
+        if (it != kept && it->code == kept->code) {
+          it->code = kDuplicateCode;
+        } else {
+          kept = it;
+        }
+      }
+    }
+  });
+
+  // One (code, id) order over all sequences; the marked duplicates sort
+  // last and are cut off.
+  util::parallel_sort(postings, workers);
+  postings.erase(std::lower_bound(postings.begin(), postings.end(),
+                                  KmerPosting{kDuplicateCode, 0, 0}),
+                 postings.end());
+  return postings;
 }
 
 }  // namespace gpclust::seq

@@ -16,12 +16,18 @@
 // value) is pinned by the committed v1/v2 snapshot fixtures: changing any
 // of it silently invalidates every *.gpfi file on disk.
 
+#include <compare>
+#include <functional>
 #include <span>
 #include <string_view>
 #include <vector>
 
 #include "util/common.hpp"
 #include "util/prime.hpp"
+
+namespace gpclust::util {
+class Workers;
+}
 
 namespace gpclust::seq {
 
@@ -66,5 +72,30 @@ u64 band_key(u64 band, std::span<const u64> slots);
 /// when the sequence is shorter than k.
 void distinct_kmer_codes(std::string_view residues, std::size_t k,
                          std::vector<u64>& out);
+
+/// One distinct (k-mer, sequence) occurrence: `id` indexes the input
+/// sequences, `pos` is the k-mer's first occurrence in that sequence.
+/// (code, id) is unique within a postings array, so ordering by all three
+/// fields orders by (code, id).
+struct KmerPosting {
+  u64 code = 0;  ///< base-kNumResidues packed k-mer
+  u32 id = 0;
+  u32 pos = 0;
+
+  friend auto operator<=>(const KmerPosting&, const KmerPosting&) = default;
+};
+
+/// The sorted-postings builder shared by the exact seed stage
+/// (align/kmer_index) and the family store's seed index
+/// (store::rebuild_rep_postings): every distinct k-mer of
+/// `residues_of(0 .. num_sequences)` with its first occurrence, sorted by
+/// (code, id). Sequences shorter than k contribute nothing. Each sequence
+/// fills its own slice of one array sized from the window counts, then
+/// one parallel sort orders the whole array; the result does not depend
+/// on the worker count.
+std::vector<KmerPosting> build_kmer_postings(
+    std::size_t num_sequences,
+    const std::function<std::string_view(std::size_t)>& residues_of,
+    std::size_t k, const util::Workers& workers);
 
 }  // namespace gpclust::seq

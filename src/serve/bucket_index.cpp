@@ -32,7 +32,7 @@ BucketIndex::BucketIndex(const store::FamilyStore& store,
   // ascending per rep because the placement pass scans in code order).
   rep_code_offsets_.assign(num_reps + 1, 0);
   for (const store::RepPosting& p : store.postings) {
-    if (covered[p.rep]) ++rep_code_offsets_[p.rep + 1];
+    if (covered[p.id]) ++rep_code_offsets_[p.id + 1];
   }
   for (std::size_t r = 0; r < num_reps; ++r) {
     rep_code_offsets_[r + 1] += rep_code_offsets_[r];
@@ -42,7 +42,7 @@ BucketIndex::BucketIndex(const store::FamilyStore& store,
     std::vector<u64> cursor(rep_code_offsets_.begin(),
                             rep_code_offsets_.end() - 1);
     for (const store::RepPosting& p : store.postings) {
-      if (covered[p.rep]) rep_codes_[cursor[p.rep]++] = p.code;
+      if (covered[p.id]) rep_codes_[cursor[p.id]++] = p.code;
     }
   }
 
@@ -51,7 +51,7 @@ BucketIndex::BucketIndex(const store::FamilyStore& store,
     // already (code, rep)-sorted, every collision an exact shared k-mer.
     table_.reserve(rep_codes_.size());
     for (const store::RepPosting& p : store.postings) {
-      if (covered[p.rep]) table_.emplace_back(p.code, p.rep);
+      if (covered[p.id]) table_.emplace_back(p.code, p.id);
     }
     return;
   }

@@ -125,7 +125,7 @@ CandidateScores FamilyIndex::score_candidates(
                             return p.code < c;
                           });
     for (auto run = it; run != postings.end() && run->code == code; ++run) {
-      hits.emplace_back(run->rep, 1);
+      hits.emplace_back(run->id, 1);
     }
   }
   std::sort(hits.begin(), hits.end(),

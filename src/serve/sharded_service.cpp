@@ -200,7 +200,7 @@ void server_main(dist::Communicator& comm, const store::FamilyStore& store,
     } else {
       auto& filtered = shard_postings[shard];
       for (const store::RepPosting& p : store.postings) {
-        if (shard_of_rep(p.rep, num_shards) == shard) filtered.push_back(p);
+        if (shard_of_rep(p.id, num_shards) == shard) filtered.push_back(p);
       }
     }
   }

@@ -3,6 +3,8 @@
 #include <span>
 #include <vector>
 
+#include "util/thread_pool.hpp"
+
 namespace gpclust::store {
 
 void build_rep_signatures(FamilyStore& store) {
@@ -17,19 +19,25 @@ void build_rep_signatures(FamilyStore& store) {
   // sum, place. Within one rep the codes land in ascending order because
   // the placement pass scans the postings in code order.
   std::vector<u64> counts(num_reps + 1, 0);
-  for (const RepPosting& p : store.postings) ++counts[p.rep + 1];
+  for (const RepPosting& p : store.postings) ++counts[p.id + 1];
   for (std::size_t r = 0; r < num_reps; ++r) counts[r + 1] += counts[r];
   std::vector<u64> codes(store.postings.size());
   {
     std::vector<u64> cursor(counts.begin(), counts.end() - 1);
-    for (const RepPosting& p : store.postings) codes[cursor[p.rep]++] = p.code;
+    for (const RepPosting& p : store.postings) codes[cursor[p.id]++] = p.code;
   }
-  for (std::size_t r = 0; r < num_reps; ++r) {
-    hashes.sketch(
-        std::span<const u64>(codes).subspan(counts[r], counts[r + 1] - counts[r]),
-        std::span<u64>(store.signatures)
-            .subspan(r * store.sig_num_hashes, store.sig_num_hashes));
-  }
+  // Each representative writes its own signature slice: sketch on the
+  // default pool.
+  util::Workers().parallel_for(0, num_reps, [&](std::size_t lo,
+                                                std::size_t hi) {
+    for (std::size_t r = lo; r < hi; ++r) {
+      hashes.sketch(std::span<const u64>(codes).subspan(
+                        counts[r], counts[r + 1] - counts[r]),
+                    std::span<u64>(store.signatures)
+                        .subspan(r * store.sig_num_hashes,
+                                 store.sig_num_hashes));
+    }
+  });
 }
 
 }  // namespace gpclust::store

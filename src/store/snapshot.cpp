@@ -4,10 +4,10 @@
 #include <cstdio>
 #include <cstring>
 
-#include "seq/alphabet.hpp"
 #include "store/signature.hpp"
 #include "util/crc32.hpp"
 #include "util/prime.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gpclust::store {
 
@@ -171,39 +171,12 @@ FamilyStore build_family_store(const seq::SequenceSet& sequences,
 }
 
 void rebuild_rep_postings(FamilyStore& store) {
-  // Family-level k-mer postings over the representatives — the sort-based
-  // layout of align/kmer_index: emit every occurrence, sort per rep by
-  // (code, pos), keep each code's first occurrence, then one global sort
-  // by (code, rep).
-  const std::size_t k = store.kmer_k;
-  store.postings.clear();
-  for (std::size_t r = 0; r < store.representatives.size(); ++r) {
-    const std::string_view residues = store.sequence(store.representatives[r]);
-    if (residues.size() < k) continue;
-    const auto start = static_cast<std::ptrdiff_t>(store.postings.size());
-    for (std::size_t pos = 0; pos + k <= residues.size(); ++pos) {
-      u64 code = 0;
-      for (std::size_t j = 0; j < k; ++j) {
-        code = code * seq::kNumResidues + seq::residue_index(residues[pos + j]);
-      }
-      store.postings.push_back(
-          {code, static_cast<u32>(r), static_cast<u32>(pos)});
-    }
-    std::sort(store.postings.begin() + start, store.postings.end(),
-              [](const RepPosting& x, const RepPosting& y) {
-                return std::pair(x.code, x.pos) < std::pair(y.code, y.pos);
-              });
-    store.postings.erase(
-        std::unique(store.postings.begin() + start, store.postings.end(),
-                    [](const RepPosting& x, const RepPosting& y) {
-                      return x.code == y.code;
-                    }),
-        store.postings.end());
-  }
-  std::sort(store.postings.begin(), store.postings.end(),
-            [](const RepPosting& x, const RepPosting& y) {
-              return std::pair(x.code, x.rep) < std::pair(y.code, y.rep);
-            });
+  store.postings = seq::build_kmer_postings(
+      store.representatives.size(),
+      [&store](std::size_t r) {
+        return store.sequence(store.representatives[r]);
+      },
+      store.kmer_k, util::Workers());
 }
 
 std::vector<char> serialize_snapshot(const FamilyStore& store) {
@@ -401,12 +374,12 @@ FamilyStore deserialize_snapshot(const std::vector<char>& bytes) {
     if (rep >= meta.num_sequences) corrupt("representative out of range");
   }
   for (const RepPosting& p : store.postings) {
-    if (p.rep >= meta.num_representatives) corrupt("posting rep out of range");
+    if (p.id >= meta.num_representatives) corrupt("posting rep out of range");
   }
   if (!std::is_sorted(store.postings.begin(), store.postings.end(),
                       [](const RepPosting& x, const RepPosting& y) {
-                        return std::pair(x.code, x.rep) <
-                               std::pair(y.code, y.rep);
+                        return std::pair(x.code, x.id) <
+                               std::pair(y.code, y.id);
                       })) {
     corrupt("postings not sorted by (code, rep)");
   }

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "seq/sequence.hpp"
+#include "seq/sketch.hpp"
 #include "util/common.hpp"
 
 namespace gpclust::store {
@@ -52,16 +53,11 @@ class SnapshotIoError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// One (k-mer, representative) posting of the family-level seed index.
-/// Sorted by (code, rep); `pos` is the k-mer's first occurrence in the
+/// One (k-mer, representative) posting of the family-level seed index —
+/// the shared seq::KmerPosting, `id` indexing FamilyStore::representatives.
+/// Sorted by (code, id); `pos` is the k-mer's first occurrence in the
 /// representative (seed diagonals, mirroring align::CandidatePair::diag).
-struct RepPosting {
-  u64 code = 0;  ///< base-kNumResidues packed k-mer
-  u32 rep = 0;   ///< index into FamilyStore::representatives
-  u32 pos = 0;   ///< first occurrence in the representative's residues
-
-  friend bool operator==(const RepPosting&, const RepPosting&) = default;
-};
+using RepPosting = seq::KmerPosting;
 static_assert(sizeof(RepPosting) == 16, "snapshot layout is fixed");
 
 struct StoreBuildConfig {
@@ -103,7 +99,7 @@ struct FamilyStore {
   std::vector<u32> family_of;           ///< per sequence
   std::vector<u64> rep_offsets;         ///< num_families + 1
   std::vector<u32> representatives;     ///< sequence indices
-  std::vector<RepPosting> postings;     ///< sorted by (code, rep)
+  std::vector<RepPosting> postings;     ///< sorted by (code, id)
 
   /// Banded min-hash sketch parameters + data (store/signature.hpp):
   /// representative r's signature is
@@ -144,10 +140,10 @@ FamilyStore build_family_store(const seq::SequenceSet& sequences,
                                const StoreBuildConfig& config = {});
 
 /// Rebuilds `store.postings` from `store.representatives` and the residue
-/// blob — the sort-based layout build_family_store writes (per-rep distinct
-/// first occurrences, one global (code, rep) sort). Shared with the delta
-/// apply path (store/delta.hpp) so an applied delta's postings are
-/// byte-identical to a from-scratch build's.
+/// blob with the shared postings builder (seq::build_kmer_postings, on the
+/// default pool): per-rep distinct first occurrences sorted by (code, id).
+/// Shared with the delta apply path (store/delta.hpp) so an applied
+/// delta's postings are byte-identical to a from-scratch build's.
 void rebuild_rep_postings(FamilyStore& store);
 
 /// Serializes the store. Deterministic: equal stores produce byte-equal

@@ -53,4 +53,14 @@ void parallel_sort(std::vector<T>& data, ThreadPool& pool,
   }
 }
 
+/// parallel_sort on `workers`' pool, or std::sort when they run inline.
+template <typename T>
+void parallel_sort(std::vector<T>& data, const Workers& workers) {
+  if (workers.pool() == nullptr) {
+    std::sort(data.begin(), data.end());
+  } else {
+    parallel_sort(data, *workers.pool());
+  }
+}
+
 }  // namespace gpclust::util

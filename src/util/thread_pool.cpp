@@ -84,4 +84,23 @@ ThreadPool& default_thread_pool() {
   return pool;
 }
 
+Workers::Workers(std::size_t num_threads) {
+  if (num_threads == 0) {
+    pool_ = &default_thread_pool();
+  } else if (num_threads > 1) {
+    owned_ = std::make_unique<ThreadPool>(num_threads);
+    pool_ = owned_.get();
+  }
+}
+
+void Workers::parallel_for(
+    std::size_t begin, std::size_t end,
+    const std::function<void(std::size_t, std::size_t)>& fn) const {
+  if (pool_ != nullptr) {
+    pool_->parallel_for(begin, end, fn);
+  } else if (begin < end) {
+    fn(begin, end);
+  }
+}
+
 }  // namespace gpclust::util

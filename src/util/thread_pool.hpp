@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -46,5 +47,28 @@ class ThreadPool {
 
 /// Process-wide default pool, sized to hardware concurrency.
 ThreadPool& default_thread_pool();
+
+/// The `num_threads` convention of the build-side stages
+/// (align::HomologyGraphConfig::num_threads): 0 runs on
+/// default_thread_pool(), 1 runs inline on the calling thread (fully
+/// serial, no pool touched), n > 1 on a pool of n workers owned by this
+/// handle for its lifetime.
+class Workers {
+ public:
+  explicit Workers(std::size_t num_threads = 0);
+
+  /// nullptr when serial.
+  ThreadPool* pool() const { return pool_; }
+  std::size_t size() const { return pool_ != nullptr ? pool_->size() : 1; }
+
+  /// ThreadPool::parallel_for on the pool, or fn(begin, end) inline.
+  void parallel_for(std::size_t begin, std::size_t end,
+                    const std::function<void(std::size_t, std::size_t)>& fn)
+      const;
+
+ private:
+  std::unique_ptr<ThreadPool> owned_;
+  ThreadPool* pool_ = nullptr;
+};
 
 }  // namespace gpclust::util

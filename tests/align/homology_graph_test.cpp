@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "device/device_context.hpp"
 #include "seq/family_model.hpp"
 
@@ -272,6 +274,49 @@ TEST(HomologyGraph, TracerRecordsPhaseSpansAndCounters) {
       }
     }
     EXPECT_TRUE(found) << phase;
+  }
+}
+
+TEST(HomologyGraph, SeedSubSpansNestAndRecordCountIsThreadIndependent) {
+  seq::FamilyModelConfig cfg;
+  cfg.num_families = 12;
+  cfg.min_members = 4;
+  cfg.max_members = 12;
+  cfg.num_background_orfs = 10;
+  cfg.seed = 9;
+  const auto mg = seq::generate_metagenome(cfg);
+
+  u64 serial_records = 0;
+  for (const std::size_t threads : {1u, 0u, 3u}) {
+    obs::Tracer tracer;
+    HomologyGraphConfig hcfg;
+    hcfg.num_threads = threads;
+    hcfg.tracer = &tracer;
+    HomologyGraphStats stats;
+    build_homology_graph(mg.sequences, hcfg, &stats);
+
+    const u64 records = tracer.counter("homology_seed_records");
+    EXPECT_GE(records, stats.num_candidate_pairs) << threads << " threads";
+    if (threads == 1) serial_records = records;
+    EXPECT_EQ(records, serial_records) << threads << " threads";
+
+    const auto events = tracer.events();
+    const auto seed = std::find_if(events.begin(), events.end(), [](auto& e) {
+      return e.name == "homology.seed";
+    });
+    ASSERT_NE(seed, events.end());
+    for (const char* sub : {"homology.seed.postings", "homology.seed.pairs"}) {
+      const auto it = std::find_if(events.begin(), events.end(),
+                                   [&](auto& e) { return e.name == sub; });
+      ASSERT_NE(it, events.end()) << sub;
+      EXPECT_EQ(it->domain, obs::Domain::HostMeasured);
+      EXPECT_EQ(it->depth, seed->depth + 1) << sub;
+      // Host spans read two clocks on open, so allow a microsecond.
+      EXPECT_GE(it->start_seconds, seed->start_seconds - 1e-6) << sub;
+      EXPECT_LE(it->start_seconds + it->duration_seconds,
+                seed->start_seconds + seed->duration_seconds + 1e-6)
+          << sub;
+    }
   }
 }
 

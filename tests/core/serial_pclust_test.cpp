@@ -6,6 +6,7 @@
 
 #include "core/shingle.hpp"
 #include "graph/generators.hpp"
+#include "obs/trace.hpp"
 
 namespace gpclust::core {
 namespace {
@@ -150,22 +151,30 @@ TEST(SerialShingler, SeedChangesClustering) {
 
 TEST(SerialShingler, MetricsShowShinglingDominates) {
   // The paper's profiling claim: ~80% of serial runtime is in the two
-  // shingling levels. On a dense-enough graph the shingling phases must
-  // dominate aggregation and reporting.
-#if defined(__SANITIZE_ADDRESS__)
-  GTEST_SKIP() << "timing-shape assertion: sanitizer instrumentation skews "
-                  "the phase ratio";
-#endif
+  // shingling levels. On a dense-enough graph the shingling work must
+  // dominate aggregation and reporting — asserted on work counts, which
+  // do not drift under load or sanitizers the way a wall-clock ratio
+  // does: shingling evaluates one hash per trial per list member, while
+  // aggregation and reporting each touch every emitted tuple once.
   const auto g = graph::generate_erdos_renyi(400, 0.2, 10);
   ShinglingParams p = small_params();
   p.c1 = 100;
   p.c2 = 50;
-  util::MetricsRegistry reg;
-  SerialShingler(p).cluster(g, &reg);
-  const double shingling =
-      reg.get("serial.shingling1") + reg.get("serial.shingling2");
-  const double total = shingling + reg.get("serial.aggregate1") +
-                       reg.get("serial.aggregate2") + reg.get("serial.report");
+  obs::Tracer tracer;
+  SerialShingler(p).cluster(g, nullptr, &tracer);
+  const u64 hashing = tracer.counter("hash_evaluations");
+  const u64 tuples = tracer.counter("tuples");  // both levels
+  // Level 1 alone hashes every adjacency entry of every vertex with at
+  // least s1 neighbours, c1 times.
+  u64 level1 = 0;
+  for (std::size_t v = 0; v < g.num_vertices(); ++v) {
+    const u64 degree = g.offsets()[v + 1] - g.offsets()[v];
+    if (degree >= p.s1) level1 += degree * p.c1;
+  }
+  EXPECT_GE(hashing, level1);
+  ASSERT_GT(tuples, 0u);
+  const double shingling = static_cast<double>(hashing);
+  const double total = shingling + 2.0 * static_cast<double>(tuples);
   EXPECT_GT(shingling / total, 0.5);
 }
 

@@ -106,7 +106,7 @@ TEST(ShardMap, ScoreCandidatesOverShardPostingsMergesToClassify) {
 
   std::vector<std::vector<store::RepPosting>> per_shard(num_shards);
   for (const store::RepPosting& p : fx.store.postings) {
-    per_shard[shard_of_rep(p.rep, num_shards)].push_back(p);
+    per_shard[shard_of_rep(p.id, num_shards)].push_back(p);
   }
 
   ClassifyScratch scratch;

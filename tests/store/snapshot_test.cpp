@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 
+#include "seq/alphabet.hpp"
 #include "seq/family_model.hpp"
+#include "store/signature.hpp"
 #include "store/snapshot.hpp"
 
 namespace gpclust::store {
@@ -74,8 +78,61 @@ TEST(StoreBuild, PostingsAreSortedAndDistinct) {
     const auto& prev = store.postings[i - 1];
     const auto& cur = store.postings[i];
     EXPECT_TRUE(prev.code < cur.code ||
-                (prev.code == cur.code && prev.rep < cur.rep));
+                (prev.code == cur.code && prev.id < cur.id));
   }
+}
+
+TEST(StoreBuild, ParallelPostingsAndSignaturesMatchSerialReference) {
+  // Thousands of representatives, so the postings builder and the
+  // signature sketch loop both split across the default pool.
+  seq::FamilyModelConfig config;
+  config.num_families = 1200;
+  config.min_members = 3;
+  config.max_members = 8;
+  config.num_background_orfs = 1500;
+  config.seed = 21;
+  const auto mg = seq::generate_metagenome(config);
+  const auto store = build_family_store(mg.sequences, mg.family);
+  ASSERT_GE(store.representatives.size(), 3000u);
+
+  // Serial reference postings: per rep, each code's first occurrence;
+  // then one (code, rep) order.
+  std::vector<RepPosting> expected;
+  for (u32 r = 0; r < store.representatives.size(); ++r) {
+    const std::string_view residues = store.sequence(store.representatives[r]);
+    std::map<u64, u32> first;
+    for (std::size_t pos = 0; pos + store.kmer_k <= residues.size(); ++pos) {
+      u64 code = 0;
+      for (std::size_t j = 0; j < store.kmer_k; ++j) {
+        code = code * seq::kNumResidues + seq::residue_index(residues[pos + j]);
+      }
+      first.try_emplace(code, static_cast<u32>(pos));
+    }
+    for (const auto& [code, pos] : first) expected.push_back({code, r, pos});
+  }
+  std::sort(expected.begin(), expected.end(),
+            [](const RepPosting& x, const RepPosting& y) {
+              return std::pair(x.code, x.id) < std::pair(y.code, y.id);
+            });
+  EXPECT_EQ(store.postings, expected);
+
+  // Serial reference signatures: one sketch per rep, in rep order.
+  const SignatureHashes hashes(store.sig_num_hashes, store.sig_seed);
+  std::vector<u64> codes;
+  std::vector<u64> sketch(store.sig_num_hashes);
+  for (std::size_t r = 0; r < store.representatives.size(); ++r) {
+    seq::distinct_kmer_codes(store.sequence(store.representatives[r]),
+                             store.kmer_k, codes);
+    hashes.sketch(codes, sketch);
+    ASSERT_TRUE(std::equal(
+        sketch.begin(), sketch.end(),
+        store.signatures.begin() +
+            static_cast<std::ptrdiff_t>(r * store.sig_num_hashes)))
+        << "rep " << r;
+  }
+
+  EXPECT_EQ(serialize_snapshot(build_family_store(mg.sequences, mg.family)),
+            serialize_snapshot(store));
 }
 
 TEST(StoreBuild, RejectsInvalidInputs) {

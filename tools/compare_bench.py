@@ -65,12 +65,14 @@ def classify(path):
     leaf = path.rsplit(".", 1)[-1]
     if any(s in leaf for s in SKIP_SUBSTRINGS):
         return "skip"
+    # Most specific suffix first: "_per_s" and "_modeled_s" both end in
+    # "_s", so testing "_s" earlier would gate throughput as a duration.
+    if leaf.endswith("_per_s"):
+        return "throughput"
     if leaf.endswith("_modeled_s"):
         return "modeled"
     if leaf.endswith("_s"):
         return "host"
-    if leaf.endswith("_per_s"):
-        return "throughput"
     return "exact"
 
 
