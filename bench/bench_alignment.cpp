@@ -29,8 +29,8 @@
 #include "device/device_context.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
-#include "seq/alphabet.hpp"
 #include "seq/family_model.hpp"
+#include "seq/sketch.hpp"
 #include "util/cli.hpp"
 #include "util/timer.hpp"
 
@@ -44,18 +44,8 @@ std::size_t map_based_pair_count(const seq::SequenceSet& sequences,
                                  const align::KmerIndexConfig& config) {
   std::unordered_map<u64, std::vector<u32>> postings;
   for (std::size_t i = 0; i < sequences.size(); ++i) {
-    const std::string& r = sequences[i].residues;
-    if (r.size() < config.k) continue;
     std::vector<u64> kmers;
-    for (std::size_t pos = 0; pos + config.k <= r.size(); ++pos) {
-      u64 code = 0;
-      for (std::size_t j = 0; j < config.k; ++j) {
-        code = code * seq::kNumResidues + seq::residue_index(r[pos + j]);
-      }
-      kmers.push_back(code);
-    }
-    std::sort(kmers.begin(), kmers.end());
-    kmers.erase(std::unique(kmers.begin(), kmers.end()), kmers.end());
+    seq::distinct_kmer_codes(sequences[i].residues, config.k, kmers);
     for (u64 kmer : kmers) postings[kmer].push_back(static_cast<u32>(i));
   }
   std::unordered_map<u64, u32> pair_counts;

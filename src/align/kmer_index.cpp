@@ -13,13 +13,6 @@ namespace gpclust::align {
 
 namespace {
 
-/// One shared seed between a pair, packed for sort-based aggregation.
-struct PairSeed {
-  u64 key;   ///< (a << 32) | b, a < b
-  i32 diag;  ///< pos_in_a - pos_in_b of the seed's first occurrences
-
-  friend auto operator<=>(const PairSeed&, const PairSeed&) = default;
-};
 static_assert(sizeof(PairSeed) == 16);
 
 /// Splits the (code, id)-sorted postings into up to `parts` contiguous
@@ -37,15 +30,15 @@ std::vector<std::size_t> split_at_code_runs(
   return bounds;
 }
 
-/// Calls fn(lo, hi) for every run of equal pair key in the (key, diag)-
-/// sorted records [first, last) that holds at least `min_shared` seeds.
+/// Calls fn(run) for every run of equal pair key in the (key, diag)-
+/// sorted `seeds` that holds at least `min_shared` seeds.
 template <typename Fn>
-void for_each_promoted_pair(const PairSeed* first, const PairSeed* last,
+void for_each_promoted_pair(std::span<const PairSeed> seeds,
                             std::size_t min_shared, Fn&& fn) {
-  for (const PairSeed* lo = first; lo != last;) {
-    const PairSeed* hi = lo + 1;
-    while (hi != last && hi->key == lo->key) ++hi;
-    if (static_cast<std::size_t>(hi - lo) >= min_shared) fn(lo, hi);
+  for (std::size_t lo = 0; lo < seeds.size();) {
+    std::size_t hi = lo + 1;
+    while (hi < seeds.size() && seeds[hi].key == seeds[lo].key) ++hi;
+    if (hi - lo >= min_shared) fn(seeds.subspan(lo, hi - lo));
     lo = hi;
   }
 }
@@ -57,6 +50,37 @@ u64 fetch_add(u64& slot, u64 delta) {
 }
 
 }  // namespace
+
+std::size_t sort_pair_seeds(std::span<PairSeed> seeds,
+                            std::size_t min_shared) {
+  std::sort(seeds.begin(), seeds.end());
+  std::size_t promoted = 0;
+  for_each_promoted_pair(seeds, min_shared,
+                         [&](std::span<const PairSeed>) { ++promoted; });
+  return promoted;
+}
+
+void promote_pair_seeds(std::span<const PairSeed> seeds,
+                        std::size_t min_shared,
+                        std::span<CandidatePair> out) {
+  auto next = out.begin();
+  for_each_promoted_pair(seeds, min_shared, [&](std::span<const PairSeed> run) {
+    i32 mode_diag = run.front().diag;
+    std::size_t mode_len = 0;
+    for (std::size_t i = 0; i < run.size();) {
+      std::size_t j = i;
+      while (j < run.size() && run[j].diag == run[i].diag) ++j;
+      if (j - i > mode_len) {
+        mode_len = j - i;
+        mode_diag = run[i].diag;
+      }
+      i = j;
+    }
+    *next++ = {static_cast<u32>(run.front().key >> 32),
+               static_cast<u32>(run.front().key & 0xffffffffu),
+               static_cast<u32>(run.size()), mode_diag};
+  });
+}
 
 std::vector<CandidatePair> find_candidate_pairs(
     const seq::SequenceSet& sequences, const KmerIndexConfig& config,
@@ -154,51 +178,27 @@ std::vector<CandidatePair> find_candidate_pairs(
   const auto for_each_bucket = [&](auto&& fn) {
     workers.parallel_for(0, parts, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t a = bucket_bounds[lo]; a < bucket_bounds[hi]; ++a) {
-        fn(a, seeds.get() + offsets[a], seeds.get() + offsets[a + 1]);
+        fn(a, std::span<PairSeed>(seeds.get() + offsets[a],
+                                  seeds.get() + offsets[a + 1]));
       }
     });
   };
 
   // Sort each bucket by (b, diag) and count the pairs it promotes.
-  for_each_bucket([&](std::size_t a, PairSeed* first, PairSeed* last) {
-    std::sort(first, last);
-    u64 promoted = 0;
-    for_each_promoted_pair(first, last, config.min_shared_kmers,
-                           [&](const PairSeed*, const PairSeed*) {
-                             ++promoted;
-                           });
-    cursor[a] = promoted;
+  for_each_bucket([&](std::size_t a, std::span<PairSeed> bucket) {
+    cursor[a] = sort_pair_seeds(bucket, config.min_shared_kmers);
   });
   u64 num_pairs = 0;
   for (std::size_t a = 0; a < n; ++a) {
     num_pairs += std::exchange(cursor[a], num_pairs);
   }
 
-  // Scan: run length = shared-seed count; the pair's representative
-  // diagonal is the mode (smallest diagonal on ties, which the ascending
-  // sort yields for free). Buckets land in a order, each already
-  // b-ordered, so `pairs` is (a, b)-ordered.
+  // Promote: buckets land in a order, each already b-ordered, so `pairs`
+  // is (a, b)-ordered.
   std::vector<CandidatePair> pairs(num_pairs);
-  for_each_bucket([&](std::size_t a, PairSeed* first, PairSeed* last) {
-    CandidatePair* out = pairs.data() + cursor[a];
-    for_each_promoted_pair(
-        first, last, config.min_shared_kmers,
-        [&](const PairSeed* lo, const PairSeed* hi) {
-          i32 mode_diag = lo->diag;
-          std::ptrdiff_t mode_len = 0;
-          for (const PairSeed* i = lo; i != hi;) {
-            const PairSeed* j = i;
-            while (j != hi && j->diag == i->diag) ++j;
-            if (j - i > mode_len) {
-              mode_len = j - i;
-              mode_diag = i->diag;
-            }
-            i = j;
-          }
-          *out++ = {static_cast<u32>(a),
-                    static_cast<u32>(lo->key & 0xffffffffu),
-                    static_cast<u32>(hi - lo), mode_diag};
-        });
+  for_each_bucket([&](std::size_t a, std::span<PairSeed> bucket) {
+    promote_pair_seeds(bucket, config.min_shared_kmers,
+                       std::span<CandidatePair>(pairs).subspan(cursor[a]));
   });
   note_peak(bucket_bytes + num_seeds * sizeof(PairSeed) +
             pairs.size() * sizeof(CandidatePair));

@@ -6,6 +6,7 @@
 // same "exact-match seed" filtering idea with a simpler, well-understood
 // data structure (documented substitution, DESIGN.md §1).
 
+#include <span>
 #include <vector>
 
 #include "seq/sequence.hpp"
@@ -36,6 +37,28 @@ struct CandidatePair {
 
   friend bool operator==(const CandidatePair&, const CandidatePair&) = default;
 };
+
+/// One shared seed between a pair, packed for sort-based aggregation: the
+/// per-seed record the exact seed stage promotes pairs from, both here and
+/// in ingest's incremental index (ingest/ingest_session).
+struct PairSeed {
+  u64 key;   ///< (a << 32) | b, a < b
+  i32 diag;  ///< pos_in_a - pos_in_b of the seed's first occurrences
+
+  friend auto operator<=>(const PairSeed&, const PairSeed&) = default;
+};
+
+/// Sorts `seeds` by (key, diag) and returns the number of pairs they
+/// promote: runs of one key holding at least `min_shared` seeds.
+std::size_t sort_pair_seeds(std::span<PairSeed> seeds, std::size_t min_shared);
+
+/// Writes one CandidatePair per pair the sorted `seeds` promote to the
+/// front of `out` (which holds at least the sort_pair_seeds count),
+/// key-ascending and so (a, b)-ordered: the shared count is the run
+/// length, the diagonal the run's mode (smallest on ties, which the
+/// ascending sort yields for free).
+void promote_pair_seeds(std::span<const PairSeed> seeds,
+                        std::size_t min_shared, std::span<CandidatePair> out);
 
 /// Builds the k-mer index over `sequences` and reports all promising pairs
 /// (a < b), (a, b)-ordered, with their shared-seed counts. When

@@ -7,27 +7,30 @@
 
 namespace gpclust::align {
 
-namespace {
-
-/// Exact distinct-k-mer intersection of two sorted code lists.
-std::size_t shared_codes(std::span<const u64> a, std::span<const u64> b) {
-  std::size_t shared = 0;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      ++shared;
-      ++i;
-      ++j;
+std::size_t recount_lsh_candidates(const seq::SequenceSet& sequences,
+                                   std::span<const u64> pair_keys,
+                                   const LshSeedConfig& config,
+                                   std::vector<CandidatePair>& out) {
+  // Each side's sorted distinct codes are recomputed transiently (two
+  // scratch lists, reused pair to pair — keys ascend, so the `a` side is
+  // usually cached).
+  std::vector<u64> codes_a, codes_b;
+  u32 cached_a = ~0u;
+  for (const u64 key : pair_keys) {
+    const u32 a = static_cast<u32>(key >> 32);
+    const u32 b = static_cast<u32>(key & 0xffffffffu);
+    if (a != cached_a) {
+      seq::distinct_kmer_codes(sequences[a].residues, config.k, codes_a);
+      cached_a = a;
+    }
+    seq::distinct_kmer_codes(sequences[b].residues, config.k, codes_b);
+    const std::size_t shared = seq::count_shared_codes(codes_a, codes_b);
+    if (shared >= config.min_shared_kmers) {
+      out.push_back({a, b, static_cast<u32>(shared), 0});
     }
   }
-  return shared;
+  return (codes_a.size() + codes_b.size()) * sizeof(u64);
 }
-
-}  // namespace
 
 std::vector<CandidatePair> find_candidate_pairs_lsh(
     const seq::SequenceSet& sequences, const LshSeedConfig& config,
@@ -144,30 +147,20 @@ std::vector<CandidatePair> find_candidate_pairs_lsh(
   signatures.clear();
   signatures.shrink_to_fit();
 
-  // Exact recount over the survivors: recompute each side's sorted
-  // distinct codes transiently (two scratch lists, reused pair to pair —
-  // candidates are (a, b)-sorted so the `a` side is usually cached).
-  std::vector<CandidatePair> pairs;
-  std::vector<u64> codes_a, codes_b;
-  u32 cached_a = ~0u;
-  for (std::size_t idx = 0; idx < accum.size(); ++idx) {
-    const u64 key = accum[idx];
-    if (count_hits && accum_hits[idx] < config.min_band_hits) continue;
-    const u32 a = static_cast<u32>(key >> 32);
-    const u32 b = static_cast<u32>(key & 0xffffffffu);
-    if (a != cached_a) {
-      seq::distinct_kmer_codes(sequences[a].residues, config.k, codes_a);
-      cached_a = a;
+  // Exact recount over the survivors of the band-hit threshold.
+  const std::size_t accum_bytes =
+      accum.size() * sizeof(u64) + accum_hits.size() * sizeof(u32);
+  if (count_hits) {
+    std::size_t kept = 0;
+    for (std::size_t idx = 0; idx < accum.size(); ++idx) {
+      if (accum_hits[idx] >= config.min_band_hits) accum[kept++] = accum[idx];
     }
-    seq::distinct_kmer_codes(sequences[b].residues, config.k, codes_b);
-    const std::size_t shared = shared_codes(codes_a, codes_b);
-    if (shared >= config.min_shared_kmers) {
-      pairs.push_back({a, b, static_cast<u32>(shared), 0});
-    }
+    accum.resize(kept);
   }
-  note_peak(accum.size() * sizeof(u64) + accum_hits.size() * sizeof(u32) +
-            pairs.size() * sizeof(CandidatePair) +
-            (codes_a.size() + codes_b.size()) * sizeof(u64));
+  std::vector<CandidatePair> pairs;
+  const std::size_t code_bytes =
+      recount_lsh_candidates(sequences, accum, config, pairs);
+  note_peak(accum_bytes + pairs.size() * sizeof(CandidatePair) + code_bytes);
   if (peak_candidate_bytes != nullptr) *peak_candidate_bytes = peak_bytes;
   // accum is pair-key-sorted, so `pairs` is already (a, b)-ordered.
   return pairs;

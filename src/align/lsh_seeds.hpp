@@ -17,6 +17,7 @@
 // (num_bands, rows_per_band) — the frontier is measured by
 // bench_graph_scale and recorded in EXPERIMENTS.md.
 
+#include <span>
 #include <vector>
 
 #include "align/kmer_index.hpp"
@@ -66,5 +67,16 @@ struct LshSeedConfig {
 std::vector<CandidatePair> find_candidate_pairs_lsh(
     const seq::SequenceSet& sequences, const LshSeedConfig& config = {},
     obs::Tracer* tracer = nullptr, std::size_t* peak_candidate_bytes = nullptr);
+
+/// The exact recount behind every LSH candidate, from scratch and in
+/// ingest: for each pair key (a << 32 | b, ascending) recomputes both
+/// sides' sorted distinct k-mer codes and appends the pair to `out` when
+/// they share at least `config.min_shared_kmers`. Returns the bytes the
+/// two code scratch lists hold at the end, for the caller's live-buffer
+/// high-water mark.
+std::size_t recount_lsh_candidates(const seq::SequenceSet& sequences,
+                                   std::span<const u64> pair_keys,
+                                   const LshSeedConfig& config,
+                                   std::vector<CandidatePair>& out);
 
 }  // namespace gpclust::align

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 
+#include "align/kmer_index.hpp"
+#include "align/lsh_seeds.hpp"
 #include "core/serial_pclust.hpp"
 #include "graph/union_find.hpp"
-#include "seq/alphabet.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace gpclust::ingest {
@@ -13,33 +15,6 @@ namespace {
 
 constexpr u64 pair_key(u32 a, u32 b) {
   return (static_cast<u64>(a) << 32) | b;
-}
-
-/// One shared seed of a new-involving pair — same packing the from-scratch
-/// k-mer index aggregates (kmer_index.cpp), so run counts and mode
-/// diagonals come out identical.
-struct PairSeed {
-  u64 key;
-  i32 diag;
-};
-
-/// Exact distinct-k-mer intersection of two sorted code lists (the LSH
-/// recount, lsh_seeds.cpp).
-std::size_t shared_codes(std::span<const u64> a, std::span<const u64> b) {
-  std::size_t shared = 0;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      ++shared;
-      ++i;
-      ++j;
-    }
-  }
-  return shared;
 }
 
 /// Rolls the sequence append back unless the batch commits — the strong
@@ -137,114 +112,61 @@ IngestSession::SeedOutput IngestSession::incremental_seed_kmer(
   GPCLUST_CHECK(cfg.k >= 2 && cfg.k <= 12, "k must be in [2, 12]");
   SeedOutput out;
 
-  // Per-sequence distinct (code, first pos) postings of the batch — the
-  // same in-place sort + unique the from-scratch index uses.
-  std::vector<Posting> fresh;
-  for (std::size_t i = first_new; i < sequences_.size(); ++i) {
-    const std::string& r = sequences_[i].residues;
-    if (r.size() < cfg.k) continue;
-    const auto start = static_cast<std::ptrdiff_t>(fresh.size());
-    for (std::size_t pos = 0; pos + cfg.k <= r.size(); ++pos) {
-      u64 code = 0;
-      for (std::size_t j = 0; j < cfg.k; ++j) {
-        code = code * seq::kNumResidues + seq::residue_index(r[pos + j]);
-      }
-      fresh.push_back({code, static_cast<u32>(i), static_cast<u32>(pos)});
-    }
-    std::sort(fresh.begin() + start, fresh.end(),
-              [](const Posting& x, const Posting& y) {
-                return std::pair(x.code, x.pos) < std::pair(y.code, y.pos);
-              });
-    fresh.erase(std::unique(fresh.begin() + start, fresh.end(),
-                            [](const Posting& x, const Posting& y) {
-                              return x.code == y.code;
-                            }),
-                fresh.end());
-  }
-  const auto by_code_seq = [](const Posting& x, const Posting& y) {
-    return std::pair(x.code, x.seq) < std::pair(y.code, y.seq);
-  };
-  std::sort(fresh.begin(), fresh.end(), by_code_seq);
+  // The batch's postings from the shared builder, ids shifted past the
+  // standing sequences.
+  std::vector<seq::KmerPosting> fresh = seq::build_kmer_postings(
+      sequences_.size() - first_new,
+      [&](std::size_t i) -> std::string_view {
+        return sequences_[first_new + i].residues;
+      },
+      cfg.k, util::Workers(config_.graph.num_threads));
+  for (seq::KmerPosting& p : fresh) p.id += static_cast<u32>(first_new);
 
-  // Merge into the standing (code, seq)-sorted array. Old ids < new ids,
+  // Merge into the standing (code, id)-sorted array. Old ids < new ids,
   // so within a code run the old prefix / new suffix split is positional.
   out.merged_postings.resize(postings_.size() + fresh.size());
   std::merge(postings_.begin(), postings_.end(), fresh.begin(), fresh.end(),
-             out.merged_postings.begin(), by_code_seq);
-  const auto& merged = out.merged_postings;
+             out.merged_postings.begin());
+  const std::span<const seq::KmerPosting> merged = out.merged_postings;
 
   // Walk each k-mer the batch touched once. Unmasked runs emit seeds for
   // new-involving pairs; a run whose occupancy crossed max this batch
   // dirties its old-old pairs (append-monotone: old-old candidacy can only
   // be lost, never gained — a code shared by two old sequences already
   // counted both before the batch).
-  std::vector<PairSeed> seeds;
+  std::vector<align::PairSeed> seeds;
   for (std::size_t flo = 0; flo < fresh.size();) {
     std::size_t fhi = flo;
     while (fhi < fresh.size() && fresh[fhi].code == fresh[flo].code) ++fhi;
-    const u64 code = fresh[flo].code;
+    const std::span<const seq::KmerPosting> run =
+        seq::postings_run(merged, fresh[flo].code);
     flo = fhi;
 
-    const auto run = std::equal_range(
-        merged.begin(), merged.end(), Posting{code, 0, 0},
-        [](const Posting& x, const Posting& y) { return x.code < y.code; });
-    const std::size_t lo = static_cast<std::size_t>(run.first - merged.begin());
-    const std::size_t hi =
-        static_cast<std::size_t>(run.second - merged.begin());
-    const std::size_t total = hi - lo;
-    std::size_t old_end = lo;
-    while (old_end < hi && merged[old_end].seq < first_new) ++old_end;
-    const std::size_t n_old = old_end - lo;
-
-    if (total >= 2 && total <= cfg.max_kmer_occurrences) {
-      for (std::size_t x = lo; x < hi; ++x) {
+    std::size_t old_end = 0;
+    while (old_end < run.size() && run[old_end].id < first_new) ++old_end;
+    if (run.size() >= 2 && run.size() <= cfg.max_kmer_occurrences) {
+      for (std::size_t x = 0; x < run.size(); ++x) {
         // Pairs (x, y), x < y, skipping old-old: when x is old, start y at
         // the new suffix; when x is new, every later y qualifies.
-        for (std::size_t y = std::max(x + 1, old_end); y < hi; ++y) {
-          seeds.push_back({pair_key(merged[x].seq, merged[y].seq),
-                           static_cast<i32>(merged[x].pos) -
-                               static_cast<i32>(merged[y].pos)});
+        for (std::size_t y = std::max(x + 1, old_end); y < run.size(); ++y) {
+          seeds.push_back({pair_key(run[x].id, run[y].id),
+                           static_cast<i32>(run[x].pos) -
+                               static_cast<i32>(run[y].pos)});
         }
       }
-    } else if (n_old >= 2 && n_old <= cfg.max_kmer_occurrences &&
-               total > cfg.max_kmer_occurrences) {
-      for (std::size_t x = lo; x < old_end; ++x) {
+    } else if (old_end >= 2 && old_end <= cfg.max_kmer_occurrences &&
+               run.size() > cfg.max_kmer_occurrences) {
+      for (std::size_t x = 0; x < old_end; ++x) {
         for (std::size_t y = x + 1; y < old_end; ++y) {
-          out.dirty_keys.push_back(pair_key(merged[x].seq, merged[y].seq));
+          out.dirty_keys.push_back(pair_key(run[x].id, run[y].id));
         }
       }
     }
   }
 
-  // Aggregate seeds exactly as the from-scratch index does: sort by
-  // (key, diag), promote runs of >= min_shared_kmers, mode diagonal with
-  // smallest-on-ties from the ascending order.
-  std::sort(seeds.begin(), seeds.end(), [](const PairSeed& x,
-                                           const PairSeed& y) {
-    return std::pair(x.key, x.diag) < std::pair(y.key, y.diag);
-  });
-  for (std::size_t lo = 0; lo < seeds.size();) {
-    std::size_t hi = lo;
-    while (hi < seeds.size() && seeds[hi].key == seeds[lo].key) ++hi;
-    const u32 count = static_cast<u32>(hi - lo);
-    if (count >= cfg.min_shared_kmers) {
-      i32 mode_diag = seeds[lo].diag;
-      std::size_t mode_len = 0;
-      for (std::size_t i = lo; i < hi;) {
-        std::size_t j = i;
-        while (j < hi && seeds[j].diag == seeds[i].diag) ++j;
-        if (j - i > mode_len) {
-          mode_len = j - i;
-          mode_diag = seeds[i].diag;
-        }
-        i = j;
-      }
-      out.pairs.push_back({static_cast<u32>(seeds[lo].key >> 32),
-                           static_cast<u32>(seeds[lo].key & 0xffffffffu),
-                           count, mode_diag});
-    }
-    lo = hi;
-  }
+  // Promote exactly as the from-scratch index does.
+  out.pairs.resize(align::sort_pair_seeds(seeds, cfg.min_shared_kmers));
+  align::promote_pair_seeds(seeds, cfg.min_shared_kmers, out.pairs);
 
   std::sort(out.dirty_keys.begin(), out.dirty_keys.end());
   out.dirty_keys.erase(
@@ -340,31 +262,17 @@ IngestSession::SeedOutput IngestSession::incremental_seed_lsh(
     }
   }
 
-  // Band-hit threshold, then the exact recount — identical to the
-  // from-scratch tail (lsh_seeds.cpp), including the ascending pair order
-  // and the cached `a`-side code list.
+  // Band-hit threshold (one hit per colliding bucket), then the
+  // from-scratch stage's exact recount.
   std::sort(hits.begin(), hits.end());
-  std::vector<u64> codes_a, codes_b;
-  u32 cached_a = ~0u;
+  std::vector<u64> keys;
   for (std::size_t lo = 0; lo < hits.size();) {
     std::size_t hi = lo;
     while (hi < hits.size() && hits[hi] == hits[lo]) ++hi;
-    const u64 key = hits[lo];
-    const u32 band_hits = static_cast<u32>(hi - lo);
+    if (hi - lo >= cfg.min_band_hits) keys.push_back(hits[lo]);
     lo = hi;
-    if (band_hits < cfg.min_band_hits) continue;
-    const u32 a = static_cast<u32>(key >> 32);
-    const u32 b = static_cast<u32>(key & 0xffffffffu);
-    if (a != cached_a) {
-      seq::distinct_kmer_codes(sequences_[a].residues, cfg.k, codes_a);
-      cached_a = a;
-    }
-    seq::distinct_kmer_codes(sequences_[b].residues, cfg.k, codes_b);
-    const std::size_t shared = shared_codes(codes_a, codes_b);
-    if (shared >= cfg.min_shared_kmers) {
-      out.pairs.push_back({a, b, static_cast<u32>(shared), 0});
-    }
   }
+  align::recount_lsh_candidates(sequences_, keys, cfg, out.pairs);
 
   std::sort(out.dirty_keys.begin(), out.dirty_keys.end());
   out.dirty_keys.erase(
@@ -374,32 +282,21 @@ IngestSession::SeedOutput IngestSession::incremental_seed_lsh(
 }
 
 bool IngestSession::still_candidate_kmer(
-    u32 a, u32 b, const std::vector<Posting>& postings) const {
+    u32 a, u32 b, const std::vector<seq::KmerPosting>& postings) const {
   const align::KmerIndexConfig& cfg = config_.graph.seeds;
-  std::vector<u64> codes_a, codes_b;
+  std::vector<u64> codes_a, codes_b, shared;
   seq::distinct_kmer_codes(sequences_[a].residues, cfg.k, codes_a);
   seq::distinct_kmer_codes(sequences_[b].residues, cfg.k, codes_b);
-  std::size_t shared = 0;
-  std::size_t i = 0, j = 0;
-  while (i < codes_a.size() && j < codes_b.size()) {
-    if (codes_a[i] < codes_b[j]) {
-      ++i;
-    } else if (codes_b[j] < codes_a[i]) {
-      ++j;
-    } else {
-      // Shared code: it counts iff its post-batch occupancy is unmasked —
-      // the same [2, max] window the from-scratch run applies globally.
-      const u64 code = codes_a[i];
-      const auto run = std::equal_range(
-          postings.begin(), postings.end(), Posting{code, 0, 0},
-          [](const Posting& x, const Posting& y) { return x.code < y.code; });
-      const std::size_t occ =
-          static_cast<std::size_t>(run.second - run.first);
-      if (occ >= 2 && occ <= cfg.max_kmer_occurrences) {
-        if (++shared >= cfg.min_shared_kmers) return true;
-      }
-      ++i;
-      ++j;
+  std::set_intersection(codes_a.begin(), codes_a.end(), codes_b.begin(),
+                        codes_b.end(), std::back_inserter(shared));
+  // A shared code counts iff its post-batch occupancy is unmasked — the
+  // same [2, max] window the from-scratch run applies globally.
+  std::size_t unmasked = 0;
+  for (const u64 code : shared) {
+    const std::size_t occ = seq::postings_run(postings, code).size();
+    if (occ >= 2 && occ <= cfg.max_kmer_occurrences &&
+        ++unmasked >= cfg.min_shared_kmers) {
+      return true;
     }
   }
   return false;

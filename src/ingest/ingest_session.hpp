@@ -145,11 +145,6 @@ class IngestSession {
   store::FamilyStore store() const;
 
  private:
-  struct Posting {
-    u64 code;
-    u32 seq;
-    u32 pos;
-  };
   struct BandEntry {
     u64 key;
     u32 band;
@@ -158,15 +153,15 @@ class IngestSession {
   struct SeedOutput {
     std::vector<align::CandidatePair> pairs;  ///< new-involving, (a,b)-asc
     std::vector<u64> dirty_keys;              ///< old-old (a<<32|b), sorted
-    std::vector<Posting> merged_postings;     ///< KmerCount staging
+    std::vector<seq::KmerPosting> merged_postings;  ///< KmerCount staging
     std::vector<BandEntry> merged_entries;    ///< MinHashLsh staging
     std::vector<u64> new_signatures;          ///< MinHashLsh staging
   };
 
   SeedOutput incremental_seed_kmer(std::size_t first_new) const;
   SeedOutput incremental_seed_lsh(std::size_t first_new) const;
-  bool still_candidate_kmer(u32 a, u32 b,
-                            const std::vector<Posting>& postings) const;
+  bool still_candidate_kmer(
+      u32 a, u32 b, const std::vector<seq::KmerPosting>& postings) const;
   bool still_candidate_lsh(u32 a, u32 b, const std::vector<u64>& signatures,
                            const std::vector<BandEntry>& entries) const;
   core::Clustering cluster_graph(const graph::CsrGraph& g) const;
@@ -178,7 +173,7 @@ class IngestSession {
   std::vector<graph::Edge> edges_;
 
   // Standing seed index (exactly one populated, per config_.graph.seed_mode).
-  std::vector<Posting> postings_;      ///< sorted by (code, seq)
+  std::vector<seq::KmerPosting> postings_;  ///< sorted by (code, id)
   std::vector<BandEntry> entries_;     ///< sorted by (band, key, seq)
   std::vector<u64> signatures_;        ///< per-seq min-hash rows (LSH width)
   std::optional<seq::SketchHashes> sketch_hashes_;

@@ -68,6 +68,34 @@ void distinct_kmer_codes(std::string_view residues, std::size_t k,
   out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
+std::size_t count_shared_codes(std::span<const u64> a,
+                               std::span<const u64> b) {
+  std::size_t shared = 0;
+  std::size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (b[j] < a[i]) {
+      ++j;
+    } else {
+      ++shared;
+      ++i;
+      ++j;
+    }
+  }
+  return shared;
+}
+
+std::span<const KmerPosting> postings_run(
+    std::span<const KmerPosting> postings, u64 code) {
+  const auto first = std::lower_bound(
+      postings.begin(), postings.end(), code,
+      [](const KmerPosting& p, u64 c) { return p.code < c; });
+  auto last = first;
+  while (last != postings.end() && last->code == code) ++last;
+  return {first, last};
+}
+
 std::vector<KmerPosting> build_kmer_postings(
     std::size_t num_sequences,
     const std::function<std::string_view(std::size_t)>& residues_of,

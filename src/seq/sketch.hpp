@@ -73,6 +73,10 @@ u64 band_key(u64 band, std::span<const u64> slots);
 void distinct_kmer_codes(std::string_view residues, std::size_t k,
                          std::vector<u64>& out);
 
+/// Size of the intersection of two sorted, distinct code lists — the exact
+/// shared-k-mer count of a pair that a sketch only nominated.
+std::size_t count_shared_codes(std::span<const u64> a, std::span<const u64> b);
+
 /// One distinct (k-mer, sequence) occurrence: `id` indexes the input
 /// sequences, `pos` is the k-mer's first occurrence in that sequence.
 /// (code, id) is unique within a postings array, so ordering by all three
@@ -85,9 +89,16 @@ struct KmerPosting {
   friend auto operator<=>(const KmerPosting&, const KmerPosting&) = default;
 };
 
+/// The run of the (code, id)-sorted `postings` holding `code`: the exact
+/// postings probe of the serve tier and of ingest. When no posting holds
+/// `code` the run is empty and starts where it would have started, so a
+/// caller probing ascending codes can resume from the run's end.
+std::span<const KmerPosting> postings_run(
+    std::span<const KmerPosting> postings, u64 code);
+
 /// The sorted-postings builder shared by the exact seed stage
-/// (align/kmer_index) and the family store's seed index
-/// (store::rebuild_rep_postings): every distinct k-mer of
+/// (align/kmer_index), ingest (ingest/ingest_session) and the family
+/// store's seed index (store::rebuild_rep_postings): every distinct k-mer of
 /// `residues_of(0 .. num_sequences)` with its first occurrence, sorted by
 /// (code, id). Sequences shorter than k contribute nothing. Each sequence
 /// fills its own slice of one array sized from the window counts, then

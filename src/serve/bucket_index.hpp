@@ -1,39 +1,26 @@
 #pragma once
-// BucketIndex — the LSH candidate generator of the serve tier
+// BucketIndex — the banded LSH candidate generator of the serve tier
 // (DESIGN.md §13): the banded min-hash signatures the store carries per
-// representative (store/signature.hpp) are sliced into bands, each band
-// hashed to a bucket key, and queries are classified by probing the
-// resulting (key, rep) table instead of scanning the exact k-mer
-// postings. Candidate cost then scales with bucket occupancy — reps that
-// actually collide with the query — rather than with the total
-// representative count, which is what makes the bucketed seed index the
-// fast path of FamilyIndex at high family counts (MetaCache's reference
-// bucketing, PAPERS.md, transplanted to family representatives).
+// representative (store/signature.hpp) are sliced into
+// `sig_num_hashes / num_bands` slots per band, each band hashed to a
+// bucket key, and queries are classified by probing the resulting
+// (key, rep) table instead of scanning the exact k-mer postings. A rep is
+// a candidate when at least `min_band_hits` of its band keys collide with
+// the query's; recall is probabilistic and tunable by banding. Candidate
+// cost then scales with bucket occupancy — reps that actually collide
+// with the query — rather than with the total representative count
+// (MetaCache's reference bucketing, PAPERS.md, transplanted to family
+// representatives).
 //
-// Two modes, selected by BucketIndexParams::num_bands:
-//
-//   num_bands >  0   banded LSH: `sig_num_hashes / num_bands` signature
-//                    slots per band; a rep is a candidate when at least
-//                    `min_band_hits` of its band keys collide with the
-//                    query's. Probabilistic recall, tunable by banding.
-//   num_bands == 0   full recall: the bucket key IS the k-mer code, one
-//                    entry per distinct (code, rep) — the degenerate
-//                    banding limit in which every bucket collision is a
-//                    shared k-mer. Candidates are then a superset of the
-//                    postings path's whenever min_band_hits <=
-//                    ClassifyParams::min_shared_kmers, which is what the
-//                    bit-identity contract (tests + CI tier 1e) pins.
-//
-// Either way the candidates carry EXACT shared-k-mer counts (full recall
-// counts collisions; banded mode re-intersects the query's codes with the
-// rep's sorted code list), so downstream ordering, truncation and
-// Smith-Waterman scoring are byte-compatible with the postings path for
-// every rep that survives the bucket stage.
+// Nominated reps are re-counted exactly against their sorted code lists,
+// so downstream ordering, truncation and Smith-Waterman scoring are
+// byte-compatible with the postings scan for every rep that survives the
+// bucket stage.
 
 #include <span>
+#include <utility>
 #include <vector>
 
-#include "serve/family_index.hpp"
 #include "store/signature.hpp"
 #include "store/snapshot.hpp"
 #include "util/common.hpp"
@@ -41,14 +28,13 @@
 namespace gpclust::serve {
 
 struct BucketIndexParams {
-  /// Signature bands; must divide the store's sig_num_hashes. 0 selects
-  /// the full-recall mode (bucket per k-mer code, no signatures probed).
-  u64 num_bands = 32;
+  /// Signature bands; must divide the store's sig_num_hashes. 0 (the
+  /// default) is the exact postings scan: the serving tiers build no
+  /// bucket table at all.
+  u64 num_bands = 0;
 
   /// Band-key collisions required before a representative becomes a
-  /// candidate. Full-recall mode counts shared k-mers here, so keeping
-  /// this <= ClassifyParams::min_shared_kmers preserves bit-identity
-  /// with the postings path.
+  /// candidate (banded only).
   u32 min_band_hits = 1;
 
   void validate(u64 sig_num_hashes) const {
@@ -66,42 +52,36 @@ struct BucketIndexParams {
 /// subset — the sharded tier builds one per hosted shard, and a shard's
 /// table is exactly the global table filtered to its reps, so per-shard
 /// candidate sets partition the single-node set). Thread-safe for
-/// concurrent candidates() calls with per-caller scratch, like
-/// FamilyIndex.
+/// concurrent probes with per-caller scratch, like FamilyIndex.
 class BucketIndex {
  public:
-  /// `reps` lists the covered representative indices (empty = all). The
-  /// store must carry signatures (any loaded/built store does) and must
-  /// outlive the index.
+  /// `reps` lists the covered representative indices (empty = all).
+  /// `params.num_bands` must be > 0. The store must carry signatures (any
+  /// loaded/built store does) and must outlive the index.
   BucketIndex(const store::FamilyStore& store, const BucketIndexParams& params,
               std::span<const u32> reps = {});
 
   const BucketIndexParams& params() const { return params_; }
 
-  /// Candidate generation: appends (rep, exact shared distinct k-mers) to
-  /// `out`, rep-ascending, for every covered representative whose bucket
-  /// collisions reach min_band_hits. `query_codes` must be sorted and
-  /// distinct (ClassifyScratch::query_codes_ as FamilyIndex fills it).
-  /// The shared counts equal the postings path's for the same rep.
-  void candidates(std::span<const u64> query_codes, ClassifyScratch& scratch,
-                  std::vector<std::pair<u32, u32>>& out) const;
+  /// Sketches the sorted distinct `query_codes` and appends one covered rep
+  /// per band-key collision to `hits`.
+  void probe(std::span<const u64> query_codes, std::vector<u64>& query_sig,
+             std::vector<u32>& hits) const;
+
+  /// Exact distinct k-mers `query_codes` shares with covered rep `rep`.
+  u32 exact_shared(std::span<const u64> query_codes, u32 rep) const;
 
  private:
-  u64 exact_shared(std::span<const u64> query_codes, u32 rep) const;
-
   const store::FamilyStore& store_;
   BucketIndexParams params_;
   store::SignatureHashes hashes_;
 
-  /// (bucket key, rep), sorted — band keys in banded mode, raw k-mer
-  /// codes in full-recall mode.
+  /// (band key, rep), sorted.
   std::vector<std::pair<u64, u32>> table_;
 
-  /// Covered reps' distinct k-mer codes, sorted per rep (the exact-count
-  /// side of banded probing): rep r's codes are
-  /// `rep_codes_[rep_code_offsets_[r] .. rep_code_offsets_[r+1])`.
-  std::vector<u64> rep_code_offsets_;
-  std::vector<u64> rep_codes_;
+  /// Covered reps' sorted distinct k-mer codes (the exact-count side of
+  /// probing).
+  store::RepCodes rep_codes_;
 };
 
 }  // namespace gpclust::serve

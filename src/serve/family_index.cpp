@@ -7,20 +7,22 @@
 
 namespace gpclust::serve {
 
-std::string_view seed_index_name(SeedIndex seed_index) {
-  switch (seed_index) {
-    case SeedIndex::Postings: return "postings";
-    case SeedIndex::Bucketed: return "bucketed";
+namespace {
+
+/// Turns the seed hits (one rep per hit) into (rep, hit count) for every
+/// rep with at least `floor` hits, rep-ascending.
+void count_rep_hits(std::vector<u32>& hits, u32 floor,
+                    std::vector<std::pair<u32, u32>>& out) {
+  std::sort(hits.begin(), hits.end());
+  for (std::size_t lo = 0; lo < hits.size();) {
+    std::size_t hi = lo;
+    while (hi < hits.size() && hits[hi] == hits[lo]) ++hi;
+    if (hi - lo >= floor) out.emplace_back(hits[lo], static_cast<u32>(hi - lo));
+    lo = hi;
   }
-  return "unknown";
 }
 
-SeedIndex parse_seed_index(std::string_view name) {
-  if (name == "postings") return SeedIndex::Postings;
-  if (name == "bucketed") return SeedIndex::Bucketed;
-  throw InvalidArgument("unknown seed index \"" + std::string(name) +
-                        "\" (expected postings or bucketed)");
-}
+}  // namespace
 
 std::string_view classify_outcome_name(ClassifyOutcome outcome) {
   switch (outcome) {
@@ -45,22 +47,7 @@ bool FamilyIndex::prepare_query_codes(std::string_view query,
     return false;
   }
 
-  // Distinct k-mer codes of the query (same packing as the store's
-  // builder and align/kmer_index).
-  const std::size_t k = store_.kmer_k;
-  auto& codes = scratch.query_codes_;
-  codes.clear();
-  if (query.size() >= k) {
-    for (std::size_t pos = 0; pos + k <= query.size(); ++pos) {
-      u64 code = 0;
-      for (std::size_t j = 0; j < k; ++j) {
-        code = code * seq::kNumResidues + seq::residue_index(query[pos + j]);
-      }
-      codes.push_back(code);
-    }
-    std::sort(codes.begin(), codes.end());
-    codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
-  }
+  seq::distinct_kmer_codes(query, store_.kmer_k, scratch.query_codes_);
   return true;
 }
 
@@ -104,48 +91,28 @@ void FamilyIndex::score_top_candidates(
 CandidateScores FamilyIndex::score_candidates(
     std::string_view query, const ClassifyParams& params,
     ClassifyScratch& scratch,
-    std::span<const store::RepPosting> postings) const {
+    std::span<const seq::KmerPosting> postings) const {
   params.validate();
   CandidateScores result;
   // 1. Validity + the query's distinct k-mer codes.
   if (!prepare_query_codes(query, scratch, result)) return result;
   const auto& codes = scratch.query_codes_;
 
-  // 2. Seed counting: one lower_bound per distinct query k-mer into the
-  // sorted postings, collecting matching reps; a sort + run-length scan
-  // turns the hits into per-representative shared-k-mer counts. The
-  // postings are distinct per (code, rep), so each hit is one shared
-  // distinct k-mer.
-  auto& hits = scratch.seed_counts_;
+  // 2. Seed counting: one probe per distinct query k-mer into the sorted
+  // postings, resumed where the previous run ended. The postings are
+  // distinct per (code, rep), so each hit is one shared distinct k-mer.
+  auto& hits = scratch.rep_hits_;
   hits.clear();
-  auto it = postings.begin();
+  std::span<const seq::KmerPosting> rest = postings;
   for (u64 code : codes) {
-    it = std::lower_bound(it, postings.end(), code,
-                          [](const store::RepPosting& p, u64 c) {
-                            return p.code < c;
-                          });
-    for (auto run = it; run != postings.end() && run->code == code; ++run) {
-      hits.emplace_back(run->id, 1);
-    }
+    const auto run = seq::postings_run(rest, code);
+    for (const seq::KmerPosting& p : run) hits.push_back(p.id);
+    rest = {run.end(), rest.end()};
   }
-  std::sort(hits.begin(), hits.end(),
-            [](const std::pair<u32, u32>& a, const std::pair<u32, u32>& b) {
-              return a.first < b.first;
-            });
-
-  // (rep, shared count) per candidate that clears the seed floor.
   std::vector<std::pair<u32, u32>> candidates;
-  for (std::size_t lo = 0; lo < hits.size();) {
-    std::size_t hi = lo;
-    while (hi < hits.size() && hits[hi].first == hits[lo].first) ++hi;
-    const u32 shared = static_cast<u32>(hi - lo);
-    if (shared >= params.min_shared_kmers) {
-      candidates.emplace_back(hits[lo].first, shared);
-    }
-    lo = hi;
-  }
+  count_rep_hits(hits, params.min_shared_kmers, candidates);
 
-  // 3-4. Order, truncate, Smith-Waterman — shared with the bucketed path.
+  // 3-4. Order, truncate, Smith-Waterman — shared with the bucket table.
   score_top_candidates(query, params, scratch, candidates, result);
   return result;
 }
@@ -159,10 +126,18 @@ CandidateScores FamilyIndex::score_candidates(std::string_view query,
   // 1. Validity + the query's distinct k-mer codes.
   if (!prepare_query_codes(query, scratch, result)) return result;
 
-  // 2. Bucket-occupancy candidate generation (exact shared counts), then
-  // the same floor the postings path applies.
+  // 2. Reps whose band keys collide often enough, re-counted exactly so
+  // ordering and truncation match the postings scan bit for bit, then the
+  // same floor the postings scan applies.
+  const auto& codes = scratch.query_codes_;
+  auto& hits = scratch.rep_hits_;
+  hits.clear();
+  buckets.probe(codes, scratch.query_sig_, hits);
   std::vector<std::pair<u32, u32>> candidates;
-  buckets.candidates(scratch.query_codes_, scratch, candidates);
+  count_rep_hits(hits, buckets.params().min_band_hits, candidates);
+  for (auto& [rep, shared] : candidates) {
+    shared = buckets.exact_shared(codes, rep);
+  }
   std::erase_if(candidates, [&](const std::pair<u32, u32>& c) {
     return c.second < params.min_shared_kmers;
   });

@@ -15,25 +15,13 @@
 #include "align/query_profile.hpp"
 #include "align/simd.hpp"
 #include "align/smith_waterman.hpp"
+#include "seq/sketch.hpp"
 #include "store/snapshot.hpp"
 #include "util/common.hpp"
 
 namespace gpclust::serve {
 
 class BucketIndex;
-
-/// Which candidate generator feeds the exact Smith-Waterman stage: the
-/// store's sorted k-mer postings (ground truth, cost grows with total
-/// representative count) or the banded min-hash bucket table
-/// (serve/bucket_index.hpp, cost grows with bucket occupancy). The
-/// `--seed-index` seam of gpclust-query and both serving tiers.
-enum class SeedIndex {
-  Postings,
-  Bucketed,
-};
-std::string_view seed_index_name(SeedIndex seed_index);
-/// Parses "postings" / "bucketed"; throws InvalidArgument otherwise.
-SeedIndex parse_seed_index(std::string_view name);
 
 struct ClassifyParams {
   /// Representatives sharing at least this many distinct query k-mers are
@@ -95,14 +83,14 @@ class ClassifyScratch {
 
  private:
   friend class FamilyIndex;
-  friend class BucketIndex;
   align::LruQueryProfileCache profiles_;
   align::SimdCounters simd_;
   std::vector<u64> query_codes_;
-  std::vector<std::pair<u32, u32>> seed_counts_;  ///< (rep, shared kmers)
+  /// One rep per seed hit: a shared k-mer (postings scan) or a band-key
+  /// collision (bucket table).
+  std::vector<u32> rep_hits_;
   std::vector<u8> encoded_query_;
-  std::vector<u64> query_sig_;                     ///< bucketed: query sketch
-  std::vector<std::pair<u32, u32>> bucket_hits_;   ///< bucketed: (rep, 1) hits
+  std::vector<u64> query_sig_;  ///< bucket table: the query's sketch
 };
 
 /// One Smith-Waterman-scored candidate representative. Trivially copyable
@@ -151,28 +139,26 @@ class FamilyIndex {
   CandidateScores score_candidates(
       std::string_view query, const ClassifyParams& params,
       ClassifyScratch& scratch,
-      std::span<const store::RepPosting> postings) const;
+      std::span<const seq::KmerPosting> postings) const;
   CandidateScores score_candidates(std::string_view query,
                                    const ClassifyParams& params,
                                    ClassifyScratch& scratch) const {
     return score_candidates(query, params, scratch,
-                            std::span<const store::RepPosting>(store_.postings));
+                            std::span<const seq::KmerPosting>(store_.postings));
   }
 
-  /// The same seed+truncate+score contract over the bucketed seed index:
+  /// The same seed+truncate+score contract over the banded bucket table:
   /// candidates come from `buckets` (bucket-collision nomination + exact
   /// shared-k-mer recount) instead of the postings scan, then flow through
   /// the identical floor / ordering / truncation / Smith-Waterman stages.
-  /// With a full-recall bucket configuration (num_bands == 0,
-  /// min_band_hits <= min_shared_kmers) the result is bit-identical to
-  /// the postings overload; `buckets` must be built over this index's
-  /// store (or a rep subset of it, for the sharded tier).
+  /// `buckets` must be built over this index's store (or a rep subset of
+  /// it, for the sharded tier).
   CandidateScores score_candidates(std::string_view query,
                                    const ClassifyParams& params,
                                    ClassifyScratch& scratch,
                                    const BucketIndex& buckets) const;
 
-  /// classify() over the bucketed seed index:
+  /// classify() over the banded bucket table:
   /// `decide(query, params, score_candidates(query, params, scratch, buckets))`.
   ClassifyResult classify(std::string_view query, const ClassifyParams& params,
                           ClassifyScratch& scratch,
@@ -187,16 +173,16 @@ class FamilyIndex {
                         const CandidateScores& scores) const;
 
  private:
-  /// Step 1 of score_candidates, shared by both seed indexes: validity
-  /// check + the query's sorted distinct k-mer codes into
+  /// Step 1 of score_candidates, shared by both candidate generators:
+  /// validity check + the query's sorted distinct k-mer codes into
   /// `scratch.query_codes_`. Returns false (and flags `result`) on an
   /// invalid query.
   bool prepare_query_codes(std::string_view query, ClassifyScratch& scratch,
                            CandidateScores& result) const;
 
-  /// Steps 3-4, shared by both seed indexes: (shared desc, rep asc) sort,
-  /// truncation to max_candidates, and exact Smith-Waterman scoring of the
-  /// survivors into `result.scored`.
+  /// Steps 3-4, shared by both candidate generators: (shared desc, rep
+  /// asc) sort, truncation to max_candidates, and exact Smith-Waterman
+  /// scoring of the survivors into `result.scored`.
   void score_top_candidates(std::string_view query,
                             const ClassifyParams& params,
                             ClassifyScratch& scratch,

@@ -55,10 +55,9 @@ struct ServiceConfig {
   std::size_t num_workers = 1;
   std::size_t queue_capacity = 64;
 
-  /// Candidate generator feeding the exact Smith-Waterman stage
-  /// (family_index.hpp); Bucketed builds one BucketIndex at construction
-  /// with `bucket` and classifies through it.
-  SeedIndex seed_index = SeedIndex::Postings;
+  /// Candidate generator feeding the exact Smith-Waterman stage: the
+  /// store's postings scan at bucket.num_bands == 0 (the default), else
+  /// one banded BucketIndex built per generation and probed instead.
   BucketIndexParams bucket;
 
   /// Admission behavior when the queue is full (see file comment). Only
@@ -182,7 +181,7 @@ class QueryService {
     Generation(std::shared_ptr<const store::FamilyStore> store_in, u64 id_in,
                const ServiceConfig& config)
         : store(std::move(store_in)), index(*store), id(id_in) {
-      if (config.seed_index == SeedIndex::Bucketed) {
+      if (config.bucket.num_bands > 0) {
         buckets = std::make_unique<const BucketIndex>(*store, config.bucket);
       }
     }

@@ -175,12 +175,13 @@ void server_main(dist::Communicator& comm, const store::FamilyStore& store,
 
   const FamilyIndex index(store);
 
-  // Per hosted shard, the seed index restricted to that shard's
+  // Per hosted shard, the candidate generator restricted to that shard's
   // representatives: filtered postings (the (code, rep) sort survives
-  // filtering, which score_candidates requires) or, under the bucketed
-  // seed index, a BucketIndex over the shard's rep subset — either way a
-  // shard's candidates are the single-node candidates for its reps.
-  std::map<u64, std::vector<store::RepPosting>> shard_postings;
+  // filtering, which score_candidates requires) or, with banding, a
+  // BucketIndex over the shard's rep subset — either way a shard's
+  // candidates are the single-node candidates for its reps.
+  const bool banded = config.bucket.num_bands > 0;
+  std::map<u64, std::vector<seq::KmerPosting>> shard_postings;
   std::map<u64, BucketIndex> shard_buckets;
   for (std::size_t shard = 0; shard < num_shards; ++shard) {
     const auto replicas =
@@ -188,18 +189,17 @@ void server_main(dist::Communicator& comm, const store::FamilyStore& store,
     if (std::find(replicas.begin(), replicas.end(), rank) == replicas.end()) {
       continue;
     }
-    if (config.seed_index == SeedIndex::Bucketed) {
+    // An empty postings entry still marks a banded shard as hosted.
+    auto& filtered = shard_postings[shard];
+    if (banded) {
       std::vector<u32> shard_reps;
       for (u32 r = 0; r < store.representatives.size(); ++r) {
         if (shard_of_rep(r, num_shards) == shard) shard_reps.push_back(r);
       }
       shard_buckets.try_emplace(shard, store, config.bucket,
                                 std::span<const u32>(shard_reps));
-      // An empty map entry still marks the shard as hosted.
-      shard_postings[shard];
     } else {
-      auto& filtered = shard_postings[shard];
-      for (const store::RepPosting& p : store.postings) {
+      for (const seq::KmerPosting& p : store.postings) {
         if (shard_of_rep(p.id, num_shards) == shard) filtered.push_back(p);
       }
     }
@@ -259,13 +259,13 @@ void server_main(dist::Communicator& comm, const store::FamilyStore& store,
                           "sharded: request for a shard this rank "
                           "does not host");
             const CandidateScores scores =
-                config.seed_index == SeedIndex::Bucketed
+                banded
                     ? index.score_candidates(req.residues, config.classify,
                                              scratches[worker],
                                              shard_buckets.at(req.shard))
                     : index.score_candidates(
                           req.residues, config.classify, scratches[worker],
-                          std::span<const store::RepPosting>(it->second));
+                          std::span<const seq::KmerPosting>(it->second));
             responses[i] = encode_response(req.query_id, req.shard, scores);
           }
         };

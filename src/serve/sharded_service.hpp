@@ -77,15 +77,15 @@ struct ShardedConfig {
   /// re-issues per (query, shard) pair.
   fault::ResiliencePolicy resilience;
 
-  /// Per-shard candidate generator. Bucketed: every serving rank builds
-  /// one BucketIndex per hosted shard over that shard's representatives —
-  /// a shard's bucket table is the global table filtered to its reps, so
-  /// per-shard candidate sets partition the single-node set and the
-  /// router's merge + decide stays bit-identical to single-node bucketed
-  /// classification (and to the postings path at the full-recall
-  /// setting). Signatures live in the store, so they shard with their
-  /// representatives for free; the router and fail-over are untouched.
-  SeedIndex seed_index = SeedIndex::Postings;
+  /// Per-shard candidate generator: the shard's filtered postings at
+  /// bucket.num_bands == 0 (the default). With banding, every serving rank
+  /// builds one BucketIndex per hosted shard over that shard's
+  /// representatives — a shard's bucket table is the global table
+  /// filtered to its reps, so per-shard candidate sets partition the
+  /// single-node set and the router's merge + decide stays bit-identical
+  /// to single-node banded classification. Signatures live in the store,
+  /// so they shard with their representatives for free; the router and
+  /// fail-over are untouched.
   BucketIndexParams bucket;
 
   ClassifyParams classify;

@@ -12,6 +12,7 @@
 // residue string are bit-identical.
 
 #include <span>
+#include <vector>
 
 #include "seq/sketch.hpp"
 #include "store/snapshot.hpp"
@@ -30,6 +31,17 @@ inline constexpr u64 kEmptySignatureSlot = seq::kEmptySketchSlot;
 /// The shared permutation set, store-facing name. The derivation is pinned
 /// by the committed v1/v2 snapshot fixtures (snapshot_compat_test).
 using SignatureHashes = seq::SketchHashes;
+
+/// Representatives' sorted distinct k-mer codes, grouped out of the
+/// (code, rep)-sorted postings: rep r's codes are
+/// `codes[offsets[r] .. offsets[r + 1])`. Only reps with `covered[r]` get
+/// codes; an empty `covered` covers every rep.
+struct RepCodes {
+  std::vector<u64> offsets;  ///< num_representatives + 1 entries
+  std::vector<u64> codes;
+};
+RepCodes group_rep_codes(const FamilyStore& store,
+                         std::span<const char> covered = {});
 
 /// (Re)builds `store.signatures` from the postings index using
 /// `store.sig_num_hashes` and `store.sig_seed`: one sketch per

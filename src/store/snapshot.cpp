@@ -72,6 +72,8 @@ struct SigMeta {
   u64 seed;
 };
 static_assert(sizeof(SigMeta) == 16);
+// The POSTINGS section is the in-memory posting array, byte for byte.
+static_assert(sizeof(seq::KmerPosting) == 16, "snapshot layout is fixed");
 
 std::size_t aligned(std::size_t n) {
   return (n + kAlignment - 1) / kAlignment * kAlignment;
@@ -214,7 +216,7 @@ std::vector<char> serialize_snapshot(const FamilyStore& store) {
       {kRepresentatives, store.representatives.data(),
        store.representatives.size() * sizeof(u32)},
       {kPostings, store.postings.data(),
-       store.postings.size() * sizeof(RepPosting)},
+       store.postings.size() * sizeof(seq::KmerPosting)},
       {kSigMeta, &sig_meta, sizeof(sig_meta)},
       {kSignatures, store.signatures.data(),
        store.signatures.size() * sizeof(u64)},
@@ -373,11 +375,11 @@ FamilyStore deserialize_snapshot(const std::vector<char>& bytes) {
   for (u32 rep : store.representatives) {
     if (rep >= meta.num_sequences) corrupt("representative out of range");
   }
-  for (const RepPosting& p : store.postings) {
+  for (const seq::KmerPosting& p : store.postings) {
     if (p.id >= meta.num_representatives) corrupt("posting rep out of range");
   }
   if (!std::is_sorted(store.postings.begin(), store.postings.end(),
-                      [](const RepPosting& x, const RepPosting& y) {
+                      [](const seq::KmerPosting& x, const seq::KmerPosting& y) {
                         return std::pair(x.code, x.id) <
                                std::pair(y.code, y.id);
                       })) {

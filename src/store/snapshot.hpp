@@ -53,13 +53,6 @@ class SnapshotIoError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// One (k-mer, representative) posting of the family-level seed index —
-/// the shared seq::KmerPosting, `id` indexing FamilyStore::representatives.
-/// Sorted by (code, id); `pos` is the k-mer's first occurrence in the
-/// representative (seed diagonals, mirroring align::CandidatePair::diag).
-using RepPosting = seq::KmerPosting;
-static_assert(sizeof(RepPosting) == 16, "snapshot layout is fixed");
-
 struct StoreBuildConfig {
   /// Seed k-mer length of the family-level postings index; queries must
   /// use the same k (recorded in the snapshot). Same [2, 12] domain as
@@ -99,7 +92,11 @@ struct FamilyStore {
   std::vector<u32> family_of;           ///< per sequence
   std::vector<u64> rep_offsets;         ///< num_families + 1
   std::vector<u32> representatives;     ///< sequence indices
-  std::vector<RepPosting> postings;     ///< sorted by (code, id)
+  /// The family-level seed index: one seq::KmerPosting per distinct
+  /// (k-mer, representative), `id` indexing `representatives`, sorted by
+  /// (code, id); `pos` is the k-mer's first occurrence in the
+  /// representative.
+  std::vector<seq::KmerPosting> postings;
 
   /// Banded min-hash sketch parameters + data (store/signature.hpp):
   /// representative r's signature is

@@ -11,6 +11,8 @@
 #include <numeric>
 
 #include "align/homology_graph.hpp"
+#include "align/kmer_index.hpp"
+#include "align/lsh_seeds.hpp"
 #include "core/serial_pclust.hpp"
 #include "device/device_context.hpp"
 #include "ingest/ingest_session.hpp"
@@ -120,6 +122,63 @@ TEST(IngestEquivalence, MinHashModeBatchSplits) {
   expect_split_equivalent(sequences, config, {n / 2, n - n / 2});
   expect_split_equivalent(sequences, config,
                           {n / 4, n / 4, n / 4, n - 3 * (n / 4)});
+}
+
+/// Summed per-batch candidate counts of `config` over the one-batch, the
+/// three-batch and the one-sequence-trickle split of `sequences`, checking
+/// that no batch dirtied a standing pair.
+std::vector<std::size_t> candidate_stream_sizes(
+    const seq::SequenceSet& sequences, const ingest::IngestConfig& config) {
+  const std::size_t n = sequences.size();
+  std::vector<std::size_t> totals;
+  for (const std::vector<std::size_t>& batch_sizes :
+       {std::vector<std::size_t>{n},
+        std::vector<std::size_t>{n / 3, n / 3, n - 2 * (n / 3)},
+        std::vector<std::size_t>(n, 1)}) {
+    ingest::IngestSession session(config);
+    std::size_t offset = 0;
+    std::size_t total = 0;
+    for (const std::size_t size : batch_sizes) {
+      const ingest::IngestBatchStats stats = session.ingest(seq::SequenceSet(
+          sequences.begin() + static_cast<std::ptrdiff_t>(offset),
+          sequences.begin() + static_cast<std::ptrdiff_t>(offset + size)));
+      EXPECT_EQ(stats.num_dirty_pairs, 0u);
+      total += stats.num_candidate_pairs;
+      offset += size;
+    }
+    totals.push_back(total);
+  }
+  return totals;
+}
+
+TEST(IngestEquivalence, CandidateStreamMatchesFromScratchCount) {
+  // With a cap no k-mer or bucket can cross, every pair becomes a
+  // candidate in exactly the batch that brings in its later sequence, so
+  // the per-batch candidate counts of ANY split sum to the from-scratch
+  // candidate count — a dropped or duplicated pair shows here even when
+  // verify would have rejected it.
+  const seq::SequenceSet sequences = make_workload(76, 4);
+  const std::size_t n = sequences.size();
+  ingest::IngestConfig config;
+  config.shingling = test_params();
+  config.graph.seeds.max_kmer_occurrences = n;
+  config.graph.lsh.max_bucket_size = n;
+  config.graph.lsh.num_bands = 16;
+
+  const std::size_t kmer_pairs =
+      align::find_candidate_pairs(sequences, config.graph.seeds).size();
+  ASSERT_GT(kmer_pairs, 0u);
+  for (const std::size_t total : candidate_stream_sizes(sequences, config)) {
+    EXPECT_EQ(total, kmer_pairs);
+  }
+
+  config.graph.seed_mode = align::SeedMode::MinHashLsh;
+  const std::size_t lsh_pairs =
+      align::find_candidate_pairs_lsh(sequences, config.graph.lsh).size();
+  ASSERT_GT(lsh_pairs, 0u);
+  for (const std::size_t total : candidate_stream_sizes(sequences, config)) {
+    EXPECT_EQ(total, lsh_pairs);
+  }
 }
 
 TEST(IngestEquivalence, MaskCrossingRevokesStandingEdges) {

@@ -1,18 +1,13 @@
-// serve::BucketIndex — the bucketed seed index's contract against the
-// postings ground truth (DESIGN.md §13):
+// serve::BucketIndex — the banded bucket table's contract against the
+// postings scan, the exact candidate generator (DESIGN.md §13):
 //
-//   * full-recall configuration (num_bands == 0): bit-identical
-//     CandidateScores and ClassifyResults for EVERY query, including
-//     invalid and sub-k ones — the identity the CI tier 1e smoke pins
-//     end-to-end;
-//   * default banding: every surviving candidate carries the exact
-//     postings-path shared count and Smith-Waterman score (subset-with-
-//     exact-counts), and assignment recall against the postings path's
-//     assigned set stays >= 0.95 on mutated family members;
+//   * banding: every surviving candidate carries the exact postings-scan
+//     shared count and Smith-Waterman score (subset-with-exact-counts),
+//     and assignment recall against the postings scan's assigned set
+//     stays >= 0.95 on mutated family members;
 //   * sharding: per-shard bucket tables partition the single-node
-//     candidate set, so the sharded tier under --seed-index=bucketed is
-//     digest-identical to single-node (postings at full recall, bucketed
-//     single-node under banding), fail-over included;
+//     candidate set, so the sharded tier at --bands=N is digest-identical
+//     to single-node banded serving, fail-over included;
 //   * signatures: build-time (postings-derived) and serve-time
 //     (residue-derived) sketches of the same sequence are bit-identical,
 //     and parameter validation is typed.
@@ -80,6 +75,10 @@ struct Fixture {
   }
 };
 
+/// The banding these tests probe: 32 one-row bands over the default
+/// 32-hash signatures.
+const BucketIndexParams kBanding{32, 1};
+
 void expect_scores_equal(const CandidateScores& a, const CandidateScores& b,
                          const std::string& label) {
   EXPECT_EQ(a.invalid, b.invalid) << label;
@@ -88,45 +87,7 @@ void expect_scores_equal(const CandidateScores& a, const CandidateScores& b,
 }
 
 // ---------------------------------------------------------------------------
-// Full recall: bit-identity with the postings path
-// ---------------------------------------------------------------------------
-
-TEST(BucketIndex, FullRecallIsBitIdenticalToPostings) {
-  Fixture fx;
-  const BucketIndex buckets(fx.store, BucketIndexParams{0, 1});
-  ClassifyScratch postings_scratch;
-  ClassifyScratch bucket_scratch;
-  for (const std::string& q : fx.queries()) {
-    const auto via_postings =
-        fx.index.score_candidates(q, fx.params, postings_scratch);
-    const auto via_buckets =
-        fx.index.score_candidates(q, fx.params, bucket_scratch, buckets);
-    expect_scores_equal(via_postings, via_buckets, q);
-    EXPECT_EQ(fx.index.classify(q, fx.params, postings_scratch),
-              fx.index.classify(q, fx.params, bucket_scratch, buckets))
-        << q;
-  }
-}
-
-TEST(BucketIndex, FullRecallHoldsForAnyMinBandHitsBelowTheSeedFloor) {
-  // In full-recall mode collisions ARE shared k-mers, so any
-  // min_band_hits <= min_shared_kmers filters nothing the seed floor
-  // would keep — identity must survive the whole legal range.
-  Fixture fx;
-  ASSERT_GE(fx.params.min_shared_kmers, 2u);
-  const BucketIndex buckets(fx.store,
-                            BucketIndexParams{0, fx.params.min_shared_kmers});
-  ClassifyScratch a;
-  ClassifyScratch b;
-  for (const std::string& q : fx.queries()) {
-    expect_scores_equal(fx.index.score_candidates(q, fx.params, a),
-                        fx.index.score_candidates(q, fx.params, b, buckets),
-                        q);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Default banding: exactness of survivors + the recall floor
+// Banding: exactness of survivors + the recall floor
 // ---------------------------------------------------------------------------
 
 TEST(BucketIndex, BandedCandidatesAreASubsetWithExactCounts) {
@@ -134,7 +95,7 @@ TEST(BucketIndex, BandedCandidatesAreASubsetWithExactCounts) {
   // No truncation: every floor-meeting postings candidate gets scored, so
   // subset checks see the full ground-truth list.
   fx.params.max_candidates = 1u << 20;
-  const BucketIndex buckets(fx.store, BucketIndexParams{});
+  const BucketIndex buckets(fx.store, kBanding);
   ClassifyScratch a;
   ClassifyScratch b;
   for (const std::string& q : fx.queries()) {
@@ -157,7 +118,7 @@ TEST(BucketIndex, BandedCandidatesAreASubsetWithExactCounts) {
 
 TEST(BucketIndex, DefaultBandingRecallFloorOnMutatedMembers) {
   Fixture fx;
-  const BucketIndex buckets(fx.store, BucketIndexParams{});
+  const BucketIndex buckets(fx.store, kBanding);
   ClassifyScratch a;
   ClassifyScratch b;
   std::size_t assigned = 0;
@@ -186,8 +147,7 @@ TEST(BucketIndex, DefaultBandingRecallFloorOnMutatedMembers) {
 TEST(BucketIndex, ShardSubsetsPartitionTheGlobalCandidateSet) {
   Fixture fx;
   fx.params.max_candidates = 1u << 20;
-  const BucketIndexParams params;  // default banding
-  const BucketIndex global(fx.store, params);
+  const BucketIndex global(fx.store, kBanding);
   const std::size_t num_shards = 3;
   std::vector<BucketIndex> shards;
   for (std::size_t s = 0; s < num_shards; ++s) {
@@ -195,7 +155,7 @@ TEST(BucketIndex, ShardSubsetsPartitionTheGlobalCandidateSet) {
     for (u32 r = 0; r < fx.store.representatives.size(); ++r) {
       if (shard_of_rep(r, num_shards) == s) reps.push_back(r);
     }
-    shards.emplace_back(fx.store, params, std::span<const u32>(reps));
+    shards.emplace_back(fx.store, kBanding, std::span<const u32>(reps));
   }
   ClassifyScratch scratch;
   for (const std::string& q : fx.queries()) {
@@ -216,34 +176,10 @@ TEST(BucketIndex, ShardSubsetsPartitionTheGlobalCandidateSet) {
   }
 }
 
-TEST(BucketIndex, ShardedFullRecallMatchesPostingsDigestAcrossGrid) {
-  Fixture fx;
-  const auto queries = fx.queries();
-  ClassifyScratch scratch;
-  std::vector<ClassifyResult> expected;
-  for (const auto& q : queries) {
-    expected.push_back(fx.index.classify(q, fx.params, scratch));
-  }
-  for (std::size_t num_ranks : {1u, 4u}) {
-    for (std::size_t replication : {1u, 2u}) {
-      if (replication > num_ranks) continue;
-      ShardedConfig config;
-      config.num_ranks = num_ranks;
-      config.replication = replication;
-      config.num_workers = 2;
-      config.seed_index = SeedIndex::Bucketed;
-      config.bucket = BucketIndexParams{0, 1};
-      const auto results = sharded_classify_batch(fx.store, queries, config);
-      EXPECT_EQ(results_digest(results), results_digest(expected))
-          << "ranks=" << num_ranks << " repl=" << replication;
-    }
-  }
-}
-
 TEST(BucketIndex, ShardedBandedWithFailoverMatchesSingleNodeBucketed) {
   Fixture fx;
   const auto queries = fx.queries();
-  const BucketIndex buckets(fx.store, BucketIndexParams{});
+  const BucketIndex buckets(fx.store, kBanding);
   ClassifyScratch scratch;
   std::vector<ClassifyResult> expected;
   for (const auto& q : queries) {
@@ -252,7 +188,7 @@ TEST(BucketIndex, ShardedBandedWithFailoverMatchesSingleNodeBucketed) {
   ShardedConfig config;
   config.num_ranks = 4;
   config.replication = 2;
-  config.seed_index = SeedIndex::Bucketed;  // default BucketIndexParams
+  config.bucket = kBanding;
   config.kill_rank = 1;
   config.kill_after_requests = 5;
   config.resilience.mode = fault::ResilienceMode::Fallback;
@@ -312,22 +248,28 @@ TEST(BucketIndex, RepsShorterThanKStayOutOfEveryBucket) {
                                store.sig_num_hashes)) {
     EXPECT_EQ(slot, store::kEmptySignatureSlot);
   }
-  // ...and it never becomes a candidate, in either mode, even for itself.
+  // ...and it never becomes a candidate, banded or scanned, even for
+  // itself.
   const FamilyIndex index(store);
   ClassifyScratch scratch;
-  for (const u64 bands : {u64{0}, store::kDefaultSignatureHashes}) {
-    const BucketIndex buckets(store, BucketIndexParams{bands, 1});
-    const auto result = index.classify("MKT", {}, scratch, buckets);
-    EXPECT_EQ(result.outcome, ClassifyOutcome::NoSeeds) << bands;
-    EXPECT_EQ(result.num_candidates, 0u) << bands;
+  const BucketIndex buckets(
+      store, BucketIndexParams{store::kDefaultSignatureHashes, 1});
+  for (const ClassifyResult& result :
+       {index.classify("MKT", {}, scratch),
+        index.classify("MKT", {}, scratch, buckets)}) {
+    EXPECT_EQ(result.outcome, ClassifyOutcome::NoSeeds);
+    EXPECT_EQ(result.num_candidates, 0u);
   }
 }
 
 TEST(BucketIndex, ParameterValidationIsTyped) {
   Fixture fx;
   ASSERT_EQ(fx.store.sig_num_hashes, store::kDefaultSignatureHashes);
+  // Zero bands is the postings scan: there is no table to build.
+  EXPECT_THROW(BucketIndex(fx.store, BucketIndexParams{0, 1}),
+               InvalidArgument);
   // min_band_hits must be >= 1.
-  EXPECT_THROW(BucketIndex(fx.store, BucketIndexParams{0, 0}),
+  EXPECT_THROW(BucketIndex(fx.store, BucketIndexParams{32, 0}),
                InvalidArgument);
   // num_bands must divide the signature width.
   EXPECT_THROW(BucketIndex(fx.store, BucketIndexParams{7, 1}),
@@ -338,17 +280,8 @@ TEST(BucketIndex, ParameterValidationIsTyped) {
   // Covered reps must exist.
   const std::vector<u32> bogus{static_cast<u32>(
       fx.store.representatives.size())};
-  EXPECT_THROW(BucketIndex(fx.store, BucketIndexParams{},
-                           std::span<const u32>(bogus)),
+  EXPECT_THROW(BucketIndex(fx.store, kBanding, std::span<const u32>(bogus)),
                InvalidArgument);
-}
-
-TEST(BucketIndex, SeedIndexNamesRoundTrip) {
-  EXPECT_EQ(seed_index_name(SeedIndex::Postings), "postings");
-  EXPECT_EQ(seed_index_name(SeedIndex::Bucketed), "bucketed");
-  EXPECT_EQ(parse_seed_index("postings"), SeedIndex::Postings);
-  EXPECT_EQ(parse_seed_index("bucketed"), SeedIndex::Bucketed);
-  EXPECT_THROW(parse_seed_index("lsh"), InvalidArgument);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,13 +60,19 @@ struct Fixture {
     return out;
   }
 
-  std::vector<ClassifyResult> direct(const store::FamilyStore& store,
-                                     const ClassifyParams& params) const {
+  /// Single-node answers over `store` with the candidate generator
+  /// `bucket` selects.
+  std::vector<ClassifyResult> direct(
+      const store::FamilyStore& store, const ClassifyParams& params,
+      const BucketIndexParams& bucket = {}) const {
     FamilyIndex index(store);
+    std::optional<BucketIndex> buckets;
+    if (bucket.num_bands > 0) buckets.emplace(store, bucket);
     ClassifyScratch scratch;
     std::vector<ClassifyResult> out;
     for (const auto& q : queries()) {
-      out.push_back(index.classify(q, params, scratch));
+      out.push_back(buckets ? index.classify(q, params, scratch, *buckets)
+                            : index.classify(q, params, scratch));
     }
     return out;
   }
@@ -156,17 +163,16 @@ TEST(QueryServiceReload, FailedDeltaReloadKeepsServingTheOldGeneration) {
             fx.direct(fx.base, config.classify));
 }
 
-TEST(QueryServiceReload, BucketedSeedIndexIsRebuiltForTheNewStore) {
+TEST(QueryServiceReload, BucketTableIsRebuiltForTheNewStore) {
   Fixture fx;
   const auto queries = fx.queries();
   ServiceConfig config;
   config.queue_capacity = queries.size() + 1;
-  config.seed_index = SeedIndex::Bucketed;
-  config.bucket = BucketIndexParams{0, 1};  // full recall: bit-identity
+  config.bucket = BucketIndexParams{32, 1};
   QueryService service(fx.base, config);
   service.reload(fx.next);
   EXPECT_EQ(results_of(service.classify_batch(queries)),
-            fx.direct(fx.next, config.classify));
+            fx.direct(fx.next, config.classify, config.bucket));
 }
 
 TEST(QueryServiceReload, ProfileCacheResetsAndCountersStayMonotone) {

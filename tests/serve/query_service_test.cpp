@@ -71,33 +71,11 @@ TEST(QueryService, BatchMatchesDirectClassification) {
   EXPECT_EQ(service.latency_histogram().count(), queries.size());
 }
 
-TEST(QueryService, BucketedSeedIndexAtFullRecallMatchesPostingsService) {
-  Fixture fx;
-  const auto queries = fx.queries();
-
-  ServiceConfig postings;
-  postings.queue_capacity = queries.size() + 1;
-  ServiceConfig bucketed = postings;
-  bucketed.seed_index = SeedIndex::Bucketed;
-  bucketed.bucket = BucketIndexParams{0, 1};  // full recall: bit-identity
-  bucketed.num_workers = 2;
-
-  QueryService truth(fx.store, postings);
-  QueryService fast(fx.store, bucketed);
-  const auto expected = truth.classify_batch(queries);
-  const auto outcomes = fast.classify_batch(queries);
-  ASSERT_EQ(outcomes.size(), expected.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(outcomes[i].rejected, RejectReason::None);
-    EXPECT_EQ(outcomes[i].result, expected[i].result) << queries[i];
-  }
-}
-
-TEST(QueryService, BucketedSeedIndexWithDefaultBandingServes) {
+TEST(QueryService, BandedBucketTableServes) {
   Fixture fx;
   const auto queries = fx.queries();
   ServiceConfig config;
-  config.seed_index = SeedIndex::Bucketed;  // default banding
+  config.bucket = BucketIndexParams{32, 1};  // banded bucket table
   config.queue_capacity = queries.size() + 1;
   QueryService service(fx.store, config);
   const auto outcomes = service.classify_batch(queries);

@@ -3,8 +3,9 @@
 // tier (DESIGN.md §12):
 //
 //   1. Acceptance grid — {1 rank, 4 ranks} x {replication 1, 2} x
-//      {no faults, rank_down leaving >= 1 replica per shard}: results are
-//      digest-identical to single-node classification.
+//      {no faults, rank_down leaving >= 1 replica per shard} x
+//      {postings scan, 32-band bucket table}: results are digest-identical
+//      to single-node classification with the same candidate generator.
 //   2. Seeded random fault schedules (comm_fail bursts, static rank_down,
 //      the mid-stream kill seam, every resilience mode): every run either
 //      completes bit-identical or throws a typed CommError. Never a wrong
@@ -22,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,6 +32,7 @@
 #include "dist/comm.hpp"
 #include "fault/fault_plan.hpp"
 #include "seq/family_model.hpp"
+#include "serve/bucket_index.hpp"
 #include "serve/sharded_service.hpp"
 #include "store/snapshot.hpp"
 #include "util/rng.hpp"
@@ -62,16 +65,25 @@ struct Fixture {
     return out;
   }
 
-  u64 expected_digest(const std::vector<std::string>& queries) const {
+  /// Single-node digest with the candidate generator `bucket` selects.
+  u64 expected_digest(const std::vector<std::string>& queries,
+                      const BucketIndexParams& bucket = {}) const {
     const FamilyIndex index(store);
+    std::optional<BucketIndex> buckets;
+    if (bucket.num_bands > 0) buckets.emplace(store, bucket);
     ClassifyScratch scratch;
     std::vector<ClassifyResult> results;
     for (const auto& q : queries) {
-      results.push_back(index.classify(q, {}, scratch));
+      results.push_back(buckets ? index.classify(q, {}, scratch, *buckets)
+                                : index.classify(q, {}, scratch));
     }
     return results_digest(results);
   }
 };
+
+/// The banded setting the grid and the schedules exercise beside the
+/// postings scan.
+const BucketIndexParams kBanding{32, 1};
 
 // ---------------------------------------------------------------------------
 // 1. Acceptance grid
@@ -80,7 +92,8 @@ struct Fixture {
 TEST(ShardedChaos, DigestIdentityAcceptanceGrid) {
   Fixture fx;
   const auto queries = fx.queries();
-  const u64 expected = fx.expected_digest(queries);
+  const u64 expected_exact = fx.expected_digest(queries);
+  const u64 expected_banded = fx.expected_digest(queries, kBanding);
 
   for (std::size_t num_ranks : {1u, 4u}) {
     for (std::size_t replication : {1u, 2u}) {
@@ -89,8 +102,7 @@ TEST(ShardedChaos, DigestIdentityAcceptanceGrid) {
         // A static rank_down only leaves every shard a replica when the
         // shards are replicated.
         if (with_fault && replication < 2) continue;
-        for (const auto seed_index :
-             {SeedIndex::Postings, SeedIndex::Bucketed}) {
+        for (const u64 num_bands : {u64{0}, kBanding.num_bands}) {
           fault::FaultPlan plan;
           if (with_fault) plan.add_rank_down(num_ranks - 1);
           ShardedConfig config;
@@ -99,17 +111,14 @@ TEST(ShardedChaos, DigestIdentityAcceptanceGrid) {
           config.num_workers = 2;
           config.fault_plan = with_fault ? &plan : nullptr;
           config.resilience.mode = fault::ResilienceMode::Fallback;
-          config.seed_index = seed_index;
-          // Full-recall banding: the bucketed path is digest-identical to
-          // the postings expectation, fail-over included.
-          config.bucket = BucketIndexParams{0, 1};
+          config.bucket.num_bands = num_bands;
           ShardedStats stats;
           const auto results =
               sharded_classify_batch(fx.store, queries, config, &stats);
-          EXPECT_EQ(results_digest(results), expected)
+          EXPECT_EQ(results_digest(results),
+                    num_bands > 0 ? expected_banded : expected_exact)
               << "ranks=" << num_ranks << " repl=" << replication
-              << " fault=" << with_fault << " seed_index="
-              << seed_index_name(seed_index);
+              << " fault=" << with_fault << " bands=" << num_bands;
           EXPECT_EQ(stats.rank_failures, with_fault ? 1u : 0u);
         }
       }
@@ -149,7 +158,8 @@ class ShardedChaosSchedule : public ::testing::TestWithParam<int> {};
 TEST_P(ShardedChaosSchedule, CompletesIdenticallyOrFailsTyped) {
   Fixture fx;
   const auto queries = fx.queries();
-  const u64 expected = fx.expected_digest(queries);
+  const u64 expected_exact = fx.expected_digest(queries);
+  const u64 expected_banded = fx.expected_digest(queries, kBanding);
 
   const u64 seed = 0x5AADEDULL * 1000003ULL + static_cast<u64>(GetParam());
   util::SplitMix64 knob_rng(seed ^ 0x5eedULL);
@@ -174,20 +184,19 @@ TEST_P(ShardedChaosSchedule, CompletesIdenticallyOrFailsTyped) {
       config.kill_rank = static_cast<std::size_t>(knob_rng.next() % num_ranks);
       config.kill_after_requests = knob_rng.next() % 8;
     }
-    // Half the schedules serve through the bucketed seed index at the
-    // full-recall setting — same digest expectation, and the bucket
-    // tables get exercised under every fault shape (and under ASan when
-    // ci.sh runs this binary in the chaos tier).
-    if (knob_rng.next() % 2 == 0) {
-      config.seed_index = SeedIndex::Bucketed;
-      config.bucket = BucketIndexParams{0, 1};
-    }
+    // Half the schedules serve through the banded bucket table, against
+    // the single-node banded expectation — the bucket tables get
+    // exercised under every fault shape (and under ASan when ci.sh runs
+    // this binary in the chaos tier).
+    if (knob_rng.next() % 2 == 0) config.bucket = kBanding;
+    const u64 expected =
+        config.bucket.num_bands > 0 ? expected_banded : expected_exact;
     const std::string label =
         "seed=" + std::to_string(seed) +
         " mode=" + std::string(fault::resilience_mode_name(mode)) +
         " ranks=" + std::to_string(num_ranks) +
         " repl=" + std::to_string(replication) + " plan=\"" + spec +
-        "\" seed_index=" + std::string(seed_index_name(config.seed_index));
+        "\" bands=" + std::to_string(config.bucket.num_bands);
     try {
       const auto results = sharded_classify_batch(fx.store, queries, config);
       // Outcome (a): completion must be bit-identical to single-node.

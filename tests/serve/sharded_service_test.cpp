@@ -104,8 +104,8 @@ TEST(ShardMap, ScoreCandidatesOverShardPostingsMergesToClassify) {
   const ClassifyParams params;
   const std::size_t num_shards = 3;
 
-  std::vector<std::vector<store::RepPosting>> per_shard(num_shards);
-  for (const store::RepPosting& p : fx.store.postings) {
+  std::vector<std::vector<seq::KmerPosting>> per_shard(num_shards);
+  for (const seq::KmerPosting& p : fx.store.postings) {
     per_shard[shard_of_rep(p.id, num_shards)].push_back(p);
   }
 
@@ -115,7 +115,7 @@ TEST(ShardMap, ScoreCandidatesOverShardPostingsMergesToClassify) {
     for (const auto& postings : per_shard) {
       const CandidateScores part = index.score_candidates(
           query, params, scratch,
-          std::span<const store::RepPosting>(postings));
+          std::span<const seq::KmerPosting>(postings));
       merged.invalid = merged.invalid || part.invalid;
       merged.num_candidates += part.num_candidates;
       merged.scored.insert(merged.scored.end(), part.scored.begin(),

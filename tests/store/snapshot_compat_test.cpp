@@ -76,8 +76,9 @@ TEST(SnapshotCompat, V1FixtureServesIdenticallyToAFreshBuild) {
   const FamilyStore fresh = fresh_build();
   const serve::FamilyIndex old_index(migrated);
   const serve::FamilyIndex new_index(fresh);
-  const serve::BucketIndex old_buckets(migrated, {});
-  const serve::BucketIndex new_buckets(fresh, {});
+  const serve::BucketIndexParams banding{32, 1};
+  const serve::BucketIndex old_buckets(migrated, banding);
+  const serve::BucketIndex new_buckets(fresh, banding);
   serve::ClassifyScratch a;
   serve::ClassifyScratch b;
   for (std::size_t i = 0; i < fresh.num_sequences(); ++i) {

@@ -97,7 +97,7 @@ TEST(StoreBuild, ParallelPostingsAndSignaturesMatchSerialReference) {
 
   // Serial reference postings: per rep, each code's first occurrence;
   // then one (code, rep) order.
-  std::vector<RepPosting> expected;
+  std::vector<seq::KmerPosting> expected;
   for (u32 r = 0; r < store.representatives.size(); ++r) {
     const std::string_view residues = store.sequence(store.representatives[r]);
     std::map<u64, u32> first;
@@ -111,7 +111,7 @@ TEST(StoreBuild, ParallelPostingsAndSignaturesMatchSerialReference) {
     for (const auto& [code, pos] : first) expected.push_back({code, r, pos});
   }
   std::sort(expected.begin(), expected.end(),
-            [](const RepPosting& x, const RepPosting& y) {
+            [](const seq::KmerPosting& x, const seq::KmerPosting& y) {
               return std::pair(x.code, x.id) < std::pair(y.code, y.id);
             });
   EXPECT_EQ(store.postings, expected);

@@ -83,25 +83,24 @@ grep -q "device arena empty after clustering" build-ci/ci_build_index.log
 cmp build-ci/ci_single.tsv build-ci/ci_sharded.tsv
 echo "sharded answers byte-identical to single-node under rank death"
 
-echo "=== tier 1e: bucketed seed index (full recall, sharded, mid-stream kill) ==="
+echo "=== tier 1e: banded bucket table (sharded, mid-stream kill) ==="
 # DESIGN.md §13: build an index with explicit signature flags, then serve
-# tier 1d's queries through the bucketed seed index at the full-recall
-# band setting (--bands=0) — single-node, and on 4 ranks with rank 1
-# killed mid-stream. Both TSVs must be byte-identical to the postings
-# path's single-node answers: the bucket table changes how candidates are
-# found, never the answer.
+# tier 1d's queries through the banded bucket table (--bands=16 over the
+# 64-hash signatures) — single-node, and on 4 ranks with rank 1 killed
+# mid-stream. The two TSVs must be byte-identical: per-shard bucket tables
+# partition the single-node candidate set, so sharding and fail-over
+# change who answers, never the answer.
 ./build-ci/tools/gpclust-build-index --demo-families=12 --sig-hashes=64 \
     --out=build-ci/ci_families3.gpfi
 ./build-ci/tools/gpclust-query --index=build-ci/ci_families3.gpfi \
-    --fasta=build-ci/ci_orfs2.faa --seed-index=bucketed --bands=0 \
-    --out=build-ci/ci_bucketed_single.tsv
+    --fasta=build-ci/ci_orfs2.faa --bands=16 \
+    --out=build-ci/ci_banded_single.tsv
 ./build-ci/tools/gpclust-query --index=build-ci/ci_families3.gpfi \
-    --fasta=build-ci/ci_orfs2.faa --seed-index=bucketed --bands=0 \
+    --fasta=build-ci/ci_orfs2.faa --bands=16 \
     --ranks=4 --replication=2 --kill-rank=1@5 --resilience=fallback \
-    --out=build-ci/ci_bucketed_sharded.tsv
-cmp build-ci/ci_single.tsv build-ci/ci_bucketed_single.tsv
-cmp build-ci/ci_single.tsv build-ci/ci_bucketed_sharded.tsv
-echo "bucketed answers byte-identical to postings, with and without rank death"
+    --out=build-ci/ci_banded_sharded.tsv
+cmp build-ci/ci_banded_single.tsv build-ci/ci_banded_sharded.tsv
+echo "sharded banded answers byte-identical to single-node under rank death"
 
 echo "=== tier 1f: streaming ingest (append -> follow-deltas -> compact) ==="
 # DESIGN.md §15 equivalence contract end to end through the CLIs: a

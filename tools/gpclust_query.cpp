@@ -46,15 +46,13 @@
 //   --max-candidates=N     Smith-Waterman budget per query (default 8)
 //   --min-score=N          absolute score floor (default 40)
 //   --min-score-per-residue=X  length-relative score floor (default 1.2)
-//   --seed-index=postings|bucketed
-//                          candidate generator ahead of the exact
-//                          Smith-Waterman stage: the stored k-mer postings
-//                          (ground truth) or the banded min-hash bucket
-//                          table (DESIGN.md §13; default postings)
-//   --bands=N              bucketed only: signature bands (must divide the
-//                          snapshot's signature width; 0 = full-recall
-//                          mode, bit-identical to postings; default 32)
-//   --min-band-hits=N      bucketed only: band collisions before a
+//   --bands=N              candidate generator ahead of the exact
+//                          Smith-Waterman stage: 0 scans the stored k-mer
+//                          postings (exact, the default); N > 0 probes the
+//                          banded min-hash bucket table with N signature
+//                          bands (must divide the snapshot's signature
+//                          width; DESIGN.md §13)
+//   --min-band-hits=N      banded only: band collisions before a
 //                          representative is a candidate (default 1)
 //   --ranks=N              serve from N sharded ranks + a router rank
 //                          instead of the single-node QueryService
@@ -121,11 +119,9 @@ void print_help(std::FILE* out) {
       "  --min-score=N          absolute score floor (default 40)\n"
       "  --min-score-per-residue=X  length-relative score floor "
       "(default 1.2)\n"
-      "  --seed-index=postings|bucketed  candidate generator "
-      "(default postings)\n"
-      "  --bands=N              bucketed: signature bands; 0 = full recall "
-      "(default 32)\n"
-      "  --min-band-hits=N      bucketed: collisions per candidate "
+      "  --bands=N              signature bands of the bucket table; 0 = "
+      "exact postings scan (default 0)\n"
+      "  --min-band-hits=N      banded: collisions per candidate "
       "(default 1)\n"
       "  --ranks=N              sharded serving over N ranks + a router\n"
       "  --replication=R        replicas per shard (default 1)\n"
@@ -139,13 +135,9 @@ void print_help(std::FILE* out) {
       "  --help                 print this reference and exit\n");
 }
 
-serve::SeedIndex seed_index_from(const util::CliArgs& args) {
-  return serve::parse_seed_index(args.get_string("seed-index", "postings"));
-}
-
 serve::BucketIndexParams bucket_from(const util::CliArgs& args) {
   serve::BucketIndexParams bucket;
-  bucket.num_bands = static_cast<u64>(args.get_int("bands", 32));
+  bucket.num_bands = static_cast<u64>(args.get_int("bands", 0));
   bucket.min_band_hits = static_cast<u32>(args.get_int("min-band-hits", 1));
   return bucket;
 }
@@ -173,7 +165,6 @@ serve::ServiceConfig config_from(const util::CliArgs& args,
   config.profile_cache_capacity =
       static_cast<std::size_t>(args.get_int("cache", 64));
   config.classify = classify_from(args);
-  config.seed_index = seed_index_from(args);
   config.bucket = bucket_from(args);
   config.tracer = tracer;
   return config;
@@ -195,7 +186,6 @@ serve::ShardedConfig sharded_config_from(const util::CliArgs& args,
   config.profile_cache_capacity =
       static_cast<std::size_t>(args.get_int("cache", 64));
   config.classify = classify_from(args);
-  config.seed_index = seed_index_from(args);
   config.bucket = bucket_from(args);
   config.fault_plan = plan;
   config.tracer = tracer;
