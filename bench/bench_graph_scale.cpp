@@ -3,10 +3,9 @@
 // family-model metagenome. Three sections:
 //
 //   * baseline (scale 1): the exact path (ground-truth edge set + its
-//     measured peak candidate bytes), the SpGEMM ablation (must emit a
-//     bit-identical graph — labeled ablation, not a default), and the
-//     MinHash/LSH path at the default operating point (planted-family
-//     edge recall against the exact edge set, src/eval/edge_recall).
+//     measured peak candidate bytes) and the MinHash/LSH path at the
+//     default operating point (planted-family edge recall against the
+//     exact edge set, src/eval/edge_recall).
 //   * recall/speed frontier: a (bands, rows) sweep at scale 1 — recall vs
 //     seed+verify cost (the EXPERIMENTS.md frontier table).
 //   * scale sweep: MinHash/LSH full builds at growing family counts, with
@@ -31,7 +30,6 @@
 #include <vector>
 
 #include "align/homology_graph.hpp"
-#include "align/spgemm_seeds.hpp"
 #include "eval/edge_recall.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
@@ -119,12 +117,6 @@ int main(int argc, char** argv) {
   // --- baseline (scale 1) ---------------------------------------------
   const auto exact = run_build(mg.sequences, base_cfg, reps);
 
-  align::HomologyGraphConfig spgemm_cfg = base_cfg;
-  spgemm_cfg.seed_mode = align::SeedMode::SpGemm;
-  const auto spgemm = run_build(mg.sequences, spgemm_cfg, 1);
-  GPCLUST_CHECK(spgemm.graph.digest() == exact.graph.digest(),
-                "SpGEMM ablation produced a different edge set");
-
   const auto minhash = run_build(mg.sequences, lsh_cfg, reps);
   const auto base_recall = eval::planted_edge_recall(
       minhash.graph, exact.graph, mg.family,
@@ -139,10 +131,6 @@ int main(int argc, char** argv) {
               exact.stats.num_candidate_pairs, exact.stats.num_edges,
               exact.seed_s, exact.verify_s,
               exact.stats.seed_peak_candidate_bytes);
-  std::printf("  spgemm   %6zu cand  (ablation; bit-identical edges)  "
-              "seed %.3f s  peak %9zu B\n",
-              spgemm.stats.num_candidate_pairs, spgemm.seed_s,
-              spgemm.stats.seed_peak_candidate_bytes);
   std::printf("  minhash  %6zu cand  %6zu edges  seed %.3f s (sketch %.3f) "
               " verify %.3f s  peak %9zu B  recall %.4f\n\n",
               minhash.stats.num_candidate_pairs, minhash.stats.num_edges,
@@ -308,17 +296,6 @@ int main(int argc, char** argv) {
                        exact.stats.seed_peak_candidate_bytes))},
                   {"seed_s", obs::json::number(exact.seed_s)},
                   {"verify_s", obs::json::number(exact.verify_s)},
-              })},
-             {"spgemm_ablation",
-              obs::json::object({
-                  {"candidates",
-                   obs::json::number(static_cast<double>(
-                       spgemm.stats.num_candidate_pairs))},
-                  {"peak_candidate_bytes",
-                   obs::json::number(static_cast<double>(
-                       spgemm.stats.seed_peak_candidate_bytes))},
-                  {"seed_s", obs::json::number(spgemm.seed_s)},
-                  {"edges_bit_identical", obs::json::number(1)},
               })},
              {"minhash",
               obs::json::object({

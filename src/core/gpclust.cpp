@@ -54,7 +54,6 @@ class ScopedDeviceFault {
 BipartiteShingleGraph aggregate_resilient(device::DeviceContext& ctx,
                                           ShingleTuples&& tuples,
                                           const fault::ResiliencePolicy& policy,
-                                          u32 agg_shards,
                                           util::MetricsRegistry& reg,
                                           obs::Tracer* tracer,
                                           const std::string& trace_phase) {
@@ -81,7 +80,7 @@ BipartiteShingleGraph aggregate_resilient(device::DeviceContext& ctx,
       obs::add_counter(tracer, "cpu_fallbacks", 1);
       util::ScopedTimer t(reg, "cpu");
       obs::HostSpan span(tracer, trace_phase + ".cpu_fallback");
-      return aggregate_tuples_sharded(std::move(tuples), agg_shards);
+      return aggregate_tuples(std::move(tuples));
     }
   }
 }
@@ -144,13 +143,11 @@ Clustering GpClust::run(const graph::CsrGraph& g, GpClustReport* report,
     // Host merge/group time accrues to "cpu" inside; the radix sort is
     // device work on the modeled timeline.
     gi = aggregate_resilient(ctx_, std::move(tuples1), options_.resilience,
-                             options_.pipeline.agg_shards, reg, tracer,
-                             "aggregate1");
+                             reg, tracer, "aggregate1");
   } else {
     util::ScopedTimer t(reg, "cpu");
     obs::HostSpan span(tracer, "aggregate1");
-    gi = aggregate_tuples_sharded(std::move(tuples1),
-                                  options_.pipeline.agg_shards);
+    gi = aggregate_tuples(std::move(tuples1));
   }
   obs::add_counter(tracer, "shingles", gi.num_left());
 
@@ -166,13 +163,11 @@ Clustering GpClust::run(const graph::CsrGraph& g, GpClustReport* report,
     BipartiteShingleGraph gii;
     if (options_.device_aggregation) {
       gii = aggregate_resilient(ctx_, std::move(tuples2), options_.resilience,
-                                options_.pipeline.agg_shards, reg, tracer,
-                                "aggregate2");
+                                reg, tracer, "aggregate2");
     } else {
       util::ScopedTimer t(reg, "cpu");
       obs::HostSpan span(tracer, "aggregate2");
-      gii = aggregate_tuples_sharded(std::move(tuples2),
-                                     options_.pipeline.agg_shards);
+      gii = aggregate_tuples(std::move(tuples2));
     }
     obs::add_counter(tracer, "shingles", gii.num_left());
     util::ScopedTimer t(reg, "cpu");

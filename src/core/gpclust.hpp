@@ -25,11 +25,8 @@ namespace gpclust::core {
 
 struct GpClustOptions {
   /// Execution shape of the CPU-GPU pipeline (DESIGN.md §8): device
-  /// streams for the batch scheduler and hash-prefix shards for the
-  /// CPU-side tuple aggregation. Neither knob changes the clustering
-  /// result — only modeled device time and measured host time. The shard
-  /// count applies to the CPU aggregation path (including the resilience
-  /// fallback of device aggregation); the device radix sort is unsharded.
+  /// streams for the batch scheduler. It never changes the clustering
+  /// result — only modeled device time.
   PipelineParams pipeline;
 
   /// Cap on member elements per device batch; 0 derives it from free

@@ -46,20 +46,15 @@ struct BipartiteShingleGraph {
 /// ("a sorting is done to gather all vertices that generated each
 /// shingle"). Duplicate (shingle, owner) pairs collapse. Consumes the
 /// tuples to bound peak memory.
+///
+/// The gather sort is sharded (DESIGN.md §8): the packed tuples are
+/// scattered by the top bits of the shingle id into cache-sized
+/// contiguous regions of one allocation, and the regions sort in parallel
+/// on util::default_thread_pool(). The shard map is monotone in the
+/// shingle id, so the concatenation of sorted shards *is* the globally
+/// sorted order. The shard count follows from the tuple count alone;
+/// small inputs use one shard sorted on the calling thread.
 BipartiteShingleGraph aggregate_tuples(ShingleTuples&& tuples);
-
-/// Sharded variant of aggregate_tuples (DESIGN.md §8): scatters the packed
-/// tuples by the top bits of the shingle id into `shards` contiguous
-/// regions of one allocation (count / prefix-sum / place), sorts each
-/// region independently, and groups the concatenation. The shard map
-/// floor(shingle * shards / 2^64) is monotone in the shingle id, so the
-/// concatenation of sorted shards *is* the globally sorted order and the
-/// graph is identical to aggregate_tuples for every shard count. The
-/// per-shard sorts are cache-sized at realistic shard counts, which is the
-/// entire point — this is measured host time, not modeled device time.
-/// `shards` <= 1 degenerates to the flat gather sort.
-BipartiteShingleGraph aggregate_tuples_sharded(ShingleTuples&& tuples,
-                                               u32 shards);
 
 }  // namespace gpclust::core
 

@@ -13,9 +13,6 @@ inline __uint128_t pack_tuple(ShingleId shingle, u32 owner) {
   return (static_cast<__uint128_t>(shingle) << 32) | owner;
 }
 
-/// Moves the tuple arrays into a packed key vector, releasing the inputs.
-std::vector<__uint128_t> pack_tuples(ShingleTuples&& tuples);
-
 /// Deduplicates a sorted packed array and groups it into the bipartite
 /// shingle graph.
 BipartiteShingleGraph group_packed(std::vector<__uint128_t>&& packed);

@@ -4,6 +4,7 @@
 #include "core/shingle_graph_detail.hpp"
 #include "device/radix_sort.hpp"
 #include "obs/trace.hpp"
+#include "util/parallel_sort.hpp"
 
 namespace gpclust::core {
 
@@ -70,18 +71,7 @@ BipartiteShingleGraph aggregate_tuples_device(device::DeviceContext& ctx,
   // Pairwise-merge the sorted runs.
   util::ScopedTimer t(reg, cpu_metric);
   obs::HostSpan span(tracer, trace_phase + ".merge");
-  while (run_bounds.size() > 2) {
-    std::vector<std::size_t> next = {0};
-    for (std::size_t i = 2; i < run_bounds.size(); i += 2) {
-      std::inplace_merge(
-          merged.begin() + static_cast<std::ptrdiff_t>(run_bounds[i - 2]),
-          merged.begin() + static_cast<std::ptrdiff_t>(run_bounds[i - 1]),
-          merged.begin() + static_cast<std::ptrdiff_t>(run_bounds[i]));
-      next.push_back(run_bounds[i]);
-    }
-    if (run_bounds.size() % 2 == 0) next.push_back(run_bounds.back());
-    run_bounds = std::move(next);
-  }
+  util::merge_sorted_runs(merged, std::move(run_bounds));
   return detail::group_packed(std::move(merged));
 }
 

@@ -11,7 +11,7 @@ DeviceSpec DeviceSpec::tesla_k20() {
   // Calibration: the K20's aggregate core-cycles (2496 cores x 0.706 GHz
   // = 1762 GHz-core) give it a raw ~700x advantage over one ~2 GHz host
   // core; the effective pipeline throughputs below assume a few percent
-  // SIMT/memory efficiency on the hash and segmented-sort kernels, which
+  // warp/memory efficiency on the hash and segmented-sort kernels, which
   // lands the accelerated-part speedup in the regime the paper reports
   // (~45x on the 20K graph) relative to a single-core serial baseline.
   spec.transform_elems_per_sec = 8.0e9;

@@ -36,7 +36,7 @@ IngestSession::IngestSession(IngestConfig config)
   GPCLUST_CHECK(config_.graph.seed_mode == align::SeedMode::KmerCount ||
                     config_.graph.seed_mode == align::SeedMode::MinHashLsh,
                 "ingest supports the kmer and minhash seed modes (maximal "
-                "and spgemm have no incremental index seam)");
+                "has no incremental index seam)");
   GPCLUST_CHECK(!config_.graph.prefilter.enabled,
                 "the heuristic prefilter tier is not append-consistent; "
                 "disable it for ingest");

@@ -32,7 +32,7 @@
 // re-shingle; the probability is the same ~2^-64 the from-scratch
 // pipeline already accepts.
 //
-// Modes not supported: MaximalMatch/SpGemm seeding (no incremental index
+// Modes not supported: MaximalMatch seeding (no incremental index
 // seam) and the heuristic prefilter tier (its shared-seed threshold is
 // not append-consistent); both are rejected at construction.
 

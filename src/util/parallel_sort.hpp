@@ -1,9 +1,8 @@
 #pragma once
-// Thread-pool merge sort. The shingle-graph gather sort is the dominant
-// CPU-side cost of the pipeline (paper §III-C); on multi-core hosts it
-// parallelizes the way the OpenMP pClust of Rytsareva et al. [18] does.
-// Falls back to std::sort when the pool has a single worker or the input
-// is small.
+// Thread-pool merge sort (the k-mer postings builder runs on it), and the
+// pairwise sorted-run merge it shares with the device tuple aggregation's
+// host merge. Falls back to std::sort when the pool has a single worker
+// or the input is small.
 
 #include <algorithm>
 #include <vector>
@@ -11,6 +10,26 @@
 #include "util/thread_pool.hpp"
 
 namespace gpclust::util {
+
+/// Merges the sorted runs data[bounds[i] .. bounds[i+1]) into one sorted
+/// range by pairwise inplace_merge rounds (sequential across rounds; the
+/// merges within a round are independent but memory-bound anyway).
+/// `bounds` starts at 0, ends at data.size() and is non-decreasing.
+template <typename T>
+void merge_sorted_runs(std::vector<T>& data, std::vector<std::size_t> bounds) {
+  while (bounds.size() > 2) {
+    std::vector<std::size_t> next = {0};
+    for (std::size_t i = 2; i < bounds.size(); i += 2) {
+      std::inplace_merge(
+          data.begin() + static_cast<std::ptrdiff_t>(bounds[i - 2]),
+          data.begin() + static_cast<std::ptrdiff_t>(bounds[i - 1]),
+          data.begin() + static_cast<std::ptrdiff_t>(bounds[i]));
+      next.push_back(bounds[i]);
+    }
+    if (bounds.size() % 2 == 0) next.push_back(bounds.back());
+    bounds = std::move(next);
+  }
+}
 
 /// Sorts `data` ascending using up to pool.size() workers. Stable: no.
 template <typename T>
@@ -36,21 +55,7 @@ void parallel_sort(std::vector<T>& data, ThreadPool& pool,
                 data.begin() + static_cast<std::ptrdiff_t>(bounds[c + 1]));
     }
   });
-
-  // Pairwise merge rounds (inplace_merge; sequential across rounds, the
-  // merges within a round are independent but memory-bound anyway).
-  while (bounds.size() > 2) {
-    std::vector<std::size_t> next = {0};
-    for (std::size_t i = 2; i < bounds.size(); i += 2) {
-      std::inplace_merge(
-          data.begin() + static_cast<std::ptrdiff_t>(bounds[i - 2]),
-          data.begin() + static_cast<std::ptrdiff_t>(bounds[i - 1]),
-          data.begin() + static_cast<std::ptrdiff_t>(bounds[i]));
-      next.push_back(bounds[i]);
-    }
-    if (bounds.size() % 2 == 0) next.push_back(bounds.back());
-    bounds = std::move(next);
-  }
+  merge_sorted_runs(data, std::move(bounds));
 }
 
 /// parallel_sort on `workers`' pool, or std::sort when they run inline.

@@ -324,9 +324,8 @@ TEST(HomologyGraphSeedMode, ParseAndNameRoundTrip) {
   EXPECT_EQ(parse_seed_mode("kmer"), SeedMode::KmerCount);
   EXPECT_EQ(parse_seed_mode("maximal"), SeedMode::MaximalMatch);
   EXPECT_EQ(parse_seed_mode("minhash"), SeedMode::MinHashLsh);
-  EXPECT_EQ(parse_seed_mode("spgemm"), SeedMode::SpGemm);
   for (const auto mode : {SeedMode::KmerCount, SeedMode::MaximalMatch,
-                          SeedMode::MinHashLsh, SeedMode::SpGemm}) {
+                          SeedMode::MinHashLsh}) {
     EXPECT_EQ(parse_seed_mode(std::string(seed_mode_name(mode))), mode);
   }
   EXPECT_THROW(parse_seed_mode("lsh"), InvalidArgument);
@@ -364,21 +363,6 @@ TEST(HomologyGraphSeedMode, DefaultKmerEdgeSetIsPinned) {
   }
 }
 
-TEST(HomologyGraphSeedMode, SpGemmEmitsBitIdenticalEdges) {
-  for (const u64 seed : {u64{7}, u64{1234}}) {
-    const auto mg = seed_mode_workload(seed);
-    HomologyGraphConfig kmer_cfg;
-    kmer_cfg.num_threads = 1;
-    HomologyGraphConfig spgemm_cfg = kmer_cfg;
-    spgemm_cfg.seed_mode = SeedMode::SpGemm;
-    HomologyGraphStats ks, ss;
-    const u64 kd = build_homology_graph(mg.sequences, kmer_cfg, &ks).digest();
-    const u64 sd = build_homology_graph(mg.sequences, spgemm_cfg, &ss).digest();
-    EXPECT_EQ(sd, kd) << "seed " << seed;
-    EXPECT_EQ(ss.num_candidate_pairs, ks.num_candidate_pairs);
-  }
-}
-
 TEST(HomologyGraphSeedMode, MinHashDigestStableAcrossThreadsAndBackends) {
   const auto mg = seed_mode_workload(7);
   HomologyGraphConfig cfg;
@@ -402,8 +386,7 @@ TEST(HomologyGraphSeedMode, MinHashDigestStableAcrossThreadsAndBackends) {
 
 TEST(HomologyGraphSeedMode, SeedPeakBytesReportedAndTraced) {
   const auto mg = seed_mode_workload(1234);
-  for (const auto mode : {SeedMode::KmerCount, SeedMode::MinHashLsh,
-                          SeedMode::SpGemm}) {
+  for (const auto mode : {SeedMode::KmerCount, SeedMode::MinHashLsh}) {
     obs::Tracer tracer;
     HomologyGraphConfig cfg;
     cfg.seed_mode = mode;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -86,52 +87,98 @@ TEST(AggregateTuples, MismatchedArraysThrow) {
   EXPECT_THROW(aggregate_tuples(std::move(t)), InvalidArgument);
 }
 
-TEST(AggregateTuplesSharded, MatchesFlatAggregationForEveryShardCount) {
-  util::Xoshiro256 rng(77);
-  ShingleTuples base;
-  for (int i = 0; i < 2000; ++i) {
-    // Spread shingles over the whole u64 range, as real (hashed) ids do —
-    // the shard map keys on the top bits.
-    base.append(rng.next(), static_cast<u32>(rng.next_below(128)));
-  }
-  ShingleTuples flat_input = base;
-  const auto flat = aggregate_tuples(std::move(flat_input));
+// --- oracle tests of the sharded gather sort -----------------------------
+// The identity suites run graphs far below the one-shard cutoff, so these
+// are the tests that drive the multi-shard, pool-parallel path.
 
-  for (u32 shards : {1u, 2u, 3u, 7u, 16u, 64u}) {
-    ShingleTuples input = base;
-    const auto sharded = aggregate_tuples_sharded(std::move(input), shards);
-    EXPECT_EQ(sharded.offsets, flat.offsets) << "shards=" << shards;
-    EXPECT_EQ(sharded.members, flat.members) << "shards=" << shards;
+/// Test-local reference aggregation: pack, std::sort, unique, group.
+BipartiteShingleGraph reference_aggregate(const ShingleTuples& tuples) {
+  std::vector<__uint128_t> keys;
+  keys.reserve(tuples.size());
+  for (std::size_t i = 0; i < tuples.size(); ++i) {
+    keys.push_back((static_cast<__uint128_t>(tuples.shingle[i]) << 32) |
+                   tuples.owner[i]);
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+
+  BipartiteShingleGraph g;
+  g.offsets.push_back(0);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (i > 0 && (keys[i] >> 32) != (keys[i - 1] >> 32)) {
+      g.offsets.push_back(g.members.size());
+    }
+    g.members.push_back(static_cast<u32>(keys[i]));
+  }
+  if (!keys.empty()) g.offsets.push_back(g.members.size());
+  return g;
+}
+
+void expect_matches_reference(const ShingleTuples& tuples) {
+  const auto expected = reference_aggregate(tuples);
+  ShingleTuples input = tuples;
+  const auto g = aggregate_tuples(std::move(input));
+  EXPECT_EQ(g.offsets, expected.offsets) << tuples.size() << " tuples";
+  EXPECT_EQ(g.members, expected.members) << tuples.size() << " tuples";
+}
+
+/// `n` tuples with hashed (uniform u64) shingle ids, as the shingling
+/// passes emit them; ids repeat so groups have several members.
+ShingleTuples hashed_tuples(std::size_t n, u64 seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<ShingleId> ids(std::max<std::size_t>(1, n / 4));
+  for (auto& id : ids) id = rng.next();
+  ShingleTuples t;
+  for (std::size_t i = 0; i < n; ++i) {
+    t.append(ids[rng.next_below(ids.size())],
+             static_cast<u32>(rng.next_below(1 << 20)));
+  }
+  return t;
+}
+
+TEST(AggregateTuplesOracle, MatchesReferenceAcrossTheShardCutoff) {
+  // 0 and 1 tuple, one below and at the one-shard cutoff (2^16), and a
+  // ~300k input that splits into many shards sorted on the pool.
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              (std::size_t{1} << 16) - 1,
+                              std::size_t{1} << 16, std::size_t{300'007}}) {
+    expect_matches_reference(hashed_tuples(n, 0x5eed + n));
   }
 }
 
-TEST(AggregateTuplesSharded, MoreShardsThanTuplesIsHarmless) {
+TEST(AggregateTuplesOracle, EveryTupleInOneShard) {
+  // All ids ~0 map to the last shard; every other shard stays empty.
   ShingleTuples t;
-  t.append(100, 1);
-  t.append(200, 2);
-  t.append(100, 3);
-  const auto g = aggregate_tuples_sharded(std::move(t), 4096);
-  ASSERT_EQ(g.num_left(), 2u);
-  const auto l0 = g.list(0);
-  EXPECT_EQ(std::vector<u32>(l0.begin(), l0.end()), (std::vector<u32>{1, 3}));
-}
-
-TEST(AggregateTuplesSharded, EmptyInputAndSingleShingleEdgeCases) {
-  EXPECT_EQ(aggregate_tuples_sharded(ShingleTuples{}, 16).num_left(), 0u);
-
-  // Every tuple lands in one shard; the others stay empty.
-  ShingleTuples t;
-  for (u32 o = 0; o < 10; ++o) t.append(~u64{0}, 9 - o);
-  const auto g = aggregate_tuples_sharded(std::move(t), 8);
+  util::Xoshiro256 rng(9);
+  for (std::size_t i = 0; i < (std::size_t{1} << 17); ++i) {
+    t.append(~u64{0}, static_cast<u32>(rng.next_below(5000)));
+  }
+  expect_matches_reference(t);
+  const auto g = aggregate_tuples(std::move(t));
   ASSERT_EQ(g.num_left(), 1u);
-  EXPECT_EQ(g.list(0).size(), 10u);
-  EXPECT_EQ(g.list(0).front(), 0u);  // sorted ascending inside the group
+  EXPECT_EQ(g.list(0).size(), 5000u);
 }
 
-TEST(AggregateTuplesSharded, MismatchedArraysThrow) {
+TEST(AggregateTuplesOracle, DuplicatePairsCollapseAcrossShards) {
+  // Every (shingle, owner) pair appears three times, in scattered order.
+  const ShingleTuples base = hashed_tuples(40'000, 17);
   ShingleTuples t;
-  t.shingle.push_back(1);
-  EXPECT_THROW(aggregate_tuples_sharded(std::move(t), 4), InvalidArgument);
+  for (int copy = 0; copy < 3; ++copy) {
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      const std::size_t j = (i * 7919 + static_cast<std::size_t>(copy)) %
+                            base.size();
+      t.append(base.shingle[j], base.owner[j]);
+    }
+  }
+  expect_matches_reference(t);
+}
+
+TEST(AggregateTuplesOracle, MismatchedArraysThrowAtEverySize) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{1} << 17}) {
+    ShingleTuples t = hashed_tuples(n, 3);
+    t.owner.pop_back();
+    EXPECT_THROW(aggregate_tuples(std::move(t)), InvalidArgument) << n;
+  }
 }
 
 }  // namespace

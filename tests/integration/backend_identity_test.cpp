@@ -1,5 +1,5 @@
 // Cross-backend bit-identity (CLAUDE.md invariant): SerialShingler,
-// GpClust under every batching/async/aggregation configuration, and
+// GpClust under every batching/stream/aggregation configuration, and
 // dist::distributed_cluster at several rank counts all produce the same
 // partition digest for identical ShinglingParams. Complements the
 // parameter sweep in core/equivalence_sweep_test.cpp, which varies params
@@ -60,7 +60,6 @@ TEST_P(BackendIdentity, DeviceConfigurationsMatchSerial) {
     std::size_t max_batch_elements;  // 0 = whole graph in one batch
     bool device_aggregation;
     std::size_t num_streams = 1;  // 1 == the sync engine
-    u32 agg_shards = 1;
   };
   const DeviceConfig configs[] = {
       {1, false},      // one element per batch: every list splits
@@ -71,13 +70,13 @@ TEST_P(BackendIdentity, DeviceConfigurationsMatchSerial) {
       {97, true, 2},
       {0, false},      // memory-derived batch size (all at once here)
       {0, true, 2},
-      // DESIGN.md §8 pipeline shapes: multi-lane schedules and sharded
-      // host aggregation must not move a single vertex.
-      {1, false, 4, 4},   // every list splits across lanes
-      {97, false, 4, 16},
-      {97, true, 8, 4},   // device agg ignores shards; streams apply
-      {97, false, 3, 7},  // odd stream count: shared last lane
-      {0, false, 8, 16},  // memory-derived batch size, lane-split
+      // DESIGN.md §8 pipeline shapes: multi-lane schedules must not move
+      // a single vertex.
+      {1, false, 4},   // every list splits across lanes
+      {97, false, 4},
+      {97, true, 8},
+      {97, false, 3},  // odd stream count: shared last lane
+      {0, false, 8},   // memory-derived batch size, lane-split
   };
 
   for (const DeviceConfig& cfg : configs) {
@@ -86,13 +85,12 @@ TEST_P(BackendIdentity, DeviceConfigurationsMatchSerial) {
     options.max_batch_elements = cfg.max_batch_elements;
     options.device_aggregation = cfg.device_aggregation;
     options.pipeline.num_streams = cfg.num_streams;
-    options.pipeline.agg_shards = cfg.agg_shards;
     auto result = core::GpClust(ctx, params, options).cluster(g);
     result.normalize();
     EXPECT_EQ(result.digest(), expected)
         << "batch=" << cfg.max_batch_elements
         << " devagg=" << cfg.device_aggregation
-        << " streams=" << cfg.num_streams << " shards=" << cfg.agg_shards;
+        << " streams=" << cfg.num_streams;
   }
 }
 

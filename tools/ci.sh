@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # CI entry point: docs checks (tier 0, no build needed), tier-1
 # verification (configure + build + full ctest with warnings-as-errors),
-# then an ASan/UBSan build of the unit-test binary, run directly. Mirrors
+# then ASan/UBSan and ThreadSanitizer builds of the unit-test binaries,
+# run directly. Mirrors
 # what a hosted CI job would do; runnable locally from the repo root:
 #
 #   sh tools/ci.sh
@@ -38,7 +39,7 @@ python3 tools/compare_bench.py BENCH_serve.json build-ci/BENCH_serve.json
 echo "=== tier 1b3: graph-scale bench smoke + perf-trajectory gate ==="
 # The driver itself asserts the headline (a >= 10x-larger graph built by
 # the MinHash/LSH seed stage within the exact path's scale-1 peak
-# candidate-memory budget, recall >= 0.95, SpGEMM ablation bit-identical);
+# candidate-memory budget, recall >= 0.95);
 # compare_bench then gates the snapshot — counts, recall and peak bytes
 # are deterministic and must match exactly, timings within the host bound.
 ./build-ci/bench/bench_graph_scale --quick --json=build-ci/BENCH_graph.json
@@ -46,8 +47,9 @@ python3 tools/compare_bench.py BENCH_graph.json build-ci/BENCH_graph.json
 
 echo "=== tier 1b4: ingest bench smoke + perf-trajectory gate ==="
 # The driver digest-checks every batch split against the from-scratch
-# partition and asserts the >= 5x amortized host-time reduction for a
-# small appended batch before reporting; compare_bench then gates the
+# partition and asserts, on work counts, that a small appended batch
+# verifies at most 1/5 of the rebuild's candidate pairs and re-shingles at
+# most 1/5 of its vertices before reporting; compare_bench then gates the
 # snapshot (counts and touched fractions exactly, host timings within
 # the noise bound).
 ./build-ci/bench/bench_ingest --quick --json=build-ci/BENCH_ingest.json
@@ -158,5 +160,14 @@ echo "=== tier 3: chaos — randomized fault schedules under ASan ==="
 # (equivalently: ctest --test-dir build-asan -L chaos).
 ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
   ./build-asan/tests/gpclust_chaos_tests
+
+echo "=== tier 4: ThreadSanitizer gpclust_tests + chaos (preset: tsan) ==="
+# Data races in the thread pool, the pool-parallel seed, postings and
+# aggregation sorts, the serve workers and the sharded router. No
+# suppressions: a report fails the tier.
+cmake --preset tsan
+cmake --build --preset tsan
+TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/gpclust_tests
+TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/gpclust_chaos_tests
 
 echo "=== CI passed ==="
