@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) of the device primitives the paper's
 // kernel is built from — "two efficient primitives transform() and
-// sorting() implemented in the Thrust library" (§III-C) — plus the
-// serial-side building blocks (s-minima insertion sort, shingle hashing).
+// sorting() implemented in the Thrust library" (§III-C), fused here into
+// segmented_min_s — plus the serial-side building blocks (s-minima
+// insertion sort, shingle hashing).
 // Real host throughput; the modeled device seconds are exercised too but
 // the metric reported here is wall time of the simulation itself.
 
@@ -30,8 +31,7 @@ void BM_DeviceTransformHash(benchmark::State& state) {
   device::DeviceVector<u32> in(ctx, n);
   device::copy_to_device<u32>(in, host);
   device::DeviceVector<u64> out(ctx, n);
-  const core::AffineHash h{.a = 0x9e3779b9, .b = 12345,
-                           .p = util::kMersenne61};
+  const core::AffineHash h{.a = 0x9e3779b9, .b = 12345};
   for (auto _ : state) {
     device::transform(in, out, [h](u32 v) { return h(v); });
     benchmark::DoNotOptimize(out.device_span().data());
@@ -41,28 +41,32 @@ void BM_DeviceTransformHash(benchmark::State& state) {
 }
 BENCHMARK(BM_DeviceTransformHash)->Range(1 << 10, 1 << 20);
 
-void BM_DeviceSegmentedSort(benchmark::State& state) {
+void BM_DeviceSegmentedMinS(benchmark::State& state) {
+  // The fused shingling kernel: hash + per-segment s-minima in one pass.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::size_t seg_len = 64;  // degree-scale segments
   auto& ctx = bench_ctx();
   util::Xoshiro256 rng(2);
-  std::vector<u64> host(n);
-  for (auto& x : host) x = rng.next();
+  std::vector<u32> host(n);
+  for (auto& x : host) x = static_cast<u32>(rng.next());
   std::vector<u64> offsets = {0};
   while (offsets.back() < n) {
     offsets.push_back(std::min<u64>(n, offsets.back() + seg_len));
   }
-  device::DeviceVector<u64> data(ctx, n);
+  const u32 s = 2;
+  device::DeviceVector<u32> in(ctx, n);
+  device::copy_to_device<u32>(in, host);
+  device::DeviceVector<u64> out(ctx, (offsets.size() - 1) * s);
+  const core::AffineHash h{.a = 0x9e3779b9, .b = 12345};
   for (auto _ : state) {
-    state.PauseTiming();
-    device::copy_to_device<u64>(data, host);
-    state.ResumeTiming();
-    device::segmented_sort(data, offsets);
+    device::segmented_min_s(in, offsets, h, s, out);
+    benchmark::DoNotOptimize(out.device_span().data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
                           static_cast<i64>(n));
 }
-BENCHMARK(BM_DeviceSegmentedSort)->Range(1 << 12, 1 << 19);
+BENCHMARK(BM_DeviceSegmentedMinS)->Range(1 << 12, 1 << 20);
 
 void BM_DeviceSortByKey(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -93,7 +97,7 @@ void BM_SerialMinSImages(benchmark::State& state) {
   util::Xoshiro256 rng(4);
   std::vector<VertexId> gamma(degree);
   for (auto& v : gamma) v = static_cast<VertexId>(rng.next_below(1u << 24));
-  const core::AffineHash h{.a = 48271, .b = 11, .p = util::kMersenne61};
+  const core::AffineHash h{.a = 48271, .b = 11};
   std::vector<u64> out(2);
   for (auto _ : state) {
     core::min_s_images(gamma, h, 2, out);
@@ -103,24 +107,6 @@ void BM_SerialMinSImages(benchmark::State& state) {
                           static_cast<i64>(degree));
 }
 BENCHMARK(BM_SerialMinSImages)->Arg(8)->Arg(44)->Arg(73)->Arg(512);
-
-void BM_SerialMinSImagesHeap(benchmark::State& state) {
-  // Ablation partner of BM_SerialMinSImages: the paper argues a simple
-  // insertion sort beats heavier selection machinery for small s.
-  const std::size_t degree = static_cast<std::size_t>(state.range(0));
-  util::Xoshiro256 rng(4);
-  std::vector<VertexId> gamma(degree);
-  for (auto& v : gamma) v = static_cast<VertexId>(rng.next_below(1u << 24));
-  const core::AffineHash h{.a = 48271, .b = 11, .p = util::kMersenne61};
-  std::vector<u64> out(2);
-  for (auto _ : state) {
-    core::min_s_images_heap(gamma, h, 2, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
-                          static_cast<i64>(degree));
-}
-BENCHMARK(BM_SerialMinSImagesHeap)->Arg(8)->Arg(44)->Arg(73)->Arg(512);
 
 void BM_HashShingle(benchmark::State& state) {
   const std::vector<u64> minima = {123456789ULL, 987654321ULL};

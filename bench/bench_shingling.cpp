@@ -20,8 +20,7 @@ const graph::CsrGraph& bench_graph() {
 
 void BM_SerialShinglingPass(benchmark::State& state) {
   const auto& g = bench_graph();
-  const core::HashFamily fam(static_cast<u32>(state.range(0)),
-                             util::kMersenne61, 3, 1);
+  const core::HashFamily fam(static_cast<u32>(state.range(0)), 3, 1);
   for (auto _ : state) {
     auto tuples = core::extract_shingles_serial(g.offsets(), g.adjacency(),
                                                 fam, 2);
@@ -35,8 +34,7 @@ BENCHMARK(BM_SerialShinglingPass)->Arg(10)->Arg(50)->Arg(200);
 
 void BM_DeviceShinglingPass(benchmark::State& state) {
   const auto& g = bench_graph();
-  const core::HashFamily fam(static_cast<u32>(state.range(0)),
-                             util::kMersenne61, 3, 1);
+  const core::HashFamily fam(static_cast<u32>(state.range(0)), 3, 1);
   device::DeviceContext ctx(device::DeviceSpec::small_test_device(64 << 20));
   for (auto _ : state) {
     auto tuples = core::extract_shingles_device(ctx, g.offsets(),
@@ -51,7 +49,7 @@ BENCHMARK(BM_DeviceShinglingPass)->Arg(10)->Arg(50);
 
 void BM_AggregateTuples(benchmark::State& state) {
   const auto& g = bench_graph();
-  const core::HashFamily fam(50, util::kMersenne61, 3, 1);
+  const core::HashFamily fam(50, 3, 1);
   const auto tuples_proto =
       core::extract_shingles_serial(g.offsets(), g.adjacency(), fam, 2);
   for (auto _ : state) {

@@ -79,19 +79,23 @@ void commit_effects(BatchEffects&& fx, ShingleTuples& tuples,
                       fx.tuples.owner.end());
 }
 
+/// The shingle of a list whose whole member list was one segment.
+ShingleId complete_list_shingle(u32 trial, std::span<const u64> minima) {
+  const ShingleId id = hash_shingle(trial, minima);
+  GPCLUST_CHECK(id != kNoValue, "complete list shorter than s");
+  return id;
+}
+
 /// Shared consume step (identical for the device and CPU-fallback paths):
-/// fold one segment's per-trial minima into the overlay, emitting a tuple
-/// when the segment completes its list for this trial.
-void consume_segment_minima(u32 list_id, bool starts, bool ends, u32 trial,
-                            u32 num_trials, u32 s,
-                            std::span<const u64> seg_minima,
-                            const PendingMap& committed, BatchEffects& fx) {
-  if (starts && ends) {
-    const ShingleId id = hash_shingle(trial, seg_minima);
-    GPCLUST_CHECK(id != kNoValue, "complete list shorter than s");
-    fx.tuples.append(id, list_id);
-    return;
-  }
+/// folds one segment's per-trial minima into the overlay and returns the
+/// list's shingle when the segment completes its list for this trial,
+/// kNoValue when it emits no tuple.
+ShingleId consume_segment_minima(u32 list_id, bool starts, bool ends,
+                                 u32 trial, u32 num_trials, u32 s,
+                                 std::span<const u64> seg_minima,
+                                 const PendingMap& committed,
+                                 BatchEffects& fx) {
+  if (starts && ends) return complete_list_shingle(trial, seg_minima);
   // Piece of a split list: accumulate across batches (via the overlay).
   auto it = fx.updated.find(list_id);
   if (it == fx.updated.end()) {
@@ -106,15 +110,14 @@ void consume_segment_minima(u32 list_id, bool starts, bool ends, u32 trial,
   }
   std::span<u64> acc{it->second.minima.data() + std::size_t{trial} * s, s};
   merge_minima(acc, seg_minima);
-  if (ends) {
-    const ShingleId id = hash_shingle(trial, acc);
-    GPCLUST_CHECK(id != kNoValue, "split list shorter than s");
-    fx.tuples.append(id, list_id);
-    if (trial + 1 == num_trials) {
-      fx.updated.erase(it);
-      fx.erased.push_back(list_id);
-    }
+  if (!ends) return kNoValue;
+  const ShingleId id = hash_shingle(trial, acc);
+  GPCLUST_CHECK(id != kNoValue, "split list shorter than s");
+  if (trial + 1 == num_trials) {
+    fx.updated.erase(it);
+    fx.erased.push_back(list_id);
   }
+  return id;
 }
 
 /// Runs one batch on the device (Algorithm 1 over the batch's segments ×
@@ -136,17 +139,27 @@ BatchEffects process_batch_device(device::DeviceContext& ctx,
   const u32 c = family.size();
   const std::size_t nsegs = batch.num_segments();
   const std::size_t nelems = batch.num_elements();
-  // Every segment that ends its list emits one tuple per trial.
-  const auto ending = static_cast<std::size_t>(std::count_if(
-      batch.seg_ends_list.begin(), batch.seg_ends_list.end(),
-      [](u8 ends) { return ends != 0; }));
-  fx.tuples.shingle.reserve(ending * c);
-  fx.tuples.owner.reserve(ending * c);
-
+  // Every segment that ends its list emits one tuple per trial. Only the
+  // batch's last segment can carry its list on into the next batch, so
+  // trial j's tuple of segment g lands at j * ending + g, in segment
+  // order. Only split pieces (at most the batch's first and last segment)
+  // touch the overlay.
+  const std::size_t ending =
+      nsegs - (nsegs > 0 && !batch.seg_ends_list.back() ? 1 : 0);
+  std::vector<std::size_t> split_segs;
   {  // CPU aggregates the batch for the device (Figure 3, step 1).
     util::ScopedTimer t(reg, cpu_metric);
     obs::HostSpan span(tracer, trace_phase + ".stage");
     batch.stage(members, staging);
+    for (std::size_t seg = 0; seg < nsegs; ++seg) {
+      GPCLUST_CHECK(batch.seg_ends_list[seg] || seg + 1 == nsegs,
+                    "only a batch's last segment may continue its list");
+      if (!batch.seg_starts_list[seg] || !batch.seg_ends_list[seg]) {
+        split_segs.push_back(seg);
+      }
+    }
+    fx.tuples.shingle.resize(ending * c);
+    fx.tuples.owner.resize(ending * c);
   }
 
   // Upload members and segment boundaries once per batch, into the lane's
@@ -157,58 +170,72 @@ BatchEffects process_batch_device(device::DeviceContext& ctx,
   bufs.offsets = device::DeviceVector<u64>(ctx, nsegs + 1);
   device::copy_to_device<u64>(bufs.offsets, batch.seg_offsets, lane.compute);
 
+  // Device scratch of the modeled kernel: the permuted images the paper's
+  // transform writes and its segmented sort reorders.
   bufs.perm = device::DeviceVector<u64>(ctx, nelems);
   // Double-buffered minima so a copy-stream D2H can overlap the next trial.
   bufs.minima[0] = device::DeviceVector<u64>(ctx, nsegs * s);
   bufs.minima[1] = device::DeviceVector<u64>(ctx, nsegs * s);
   double copy_done[2] = {0.0, 0.0};
 
-  const auto seg_span = bufs.offsets.device_span();
-
+  const bool run_inline = nelems < device::kInlineKernelElements;
   for (u32 j = 0; j < c; ++j) {
     const std::size_t buf = j % 2;
     const AffineHash h = family[j];
 
-    // hi() over every member of the batch (thrust::transform).
-    device::transform(
-        bufs.members, bufs.perm, [h](u32 v) { return h(v); }, lane.compute);
-    // Per-segment sort (thrust-style segmented sort).
-    device::segmented_sort(bufs.perm, batch.seg_offsets, lane.compute);
-    // Top-s selection into the trial's minima buffer. Must wait until
-    // the previous copy out of this buffer has completed.
-    const auto perm_span = bufs.perm.device_span();
-    const u32 s_local = s;
-    const double select_done = device::tabulate(
-        bufs.minima[buf],
-        [perm_span, seg_span, s_local](std::size_t i) {
-          const std::size_t seg = i / s_local;
-          const u64 pos = seg_span[seg] + (i % s_local);
-          return pos < seg_span[seg + 1] ? perm_span[pos] : kNoValue;
-        },
-        lane.compute, copy_done[buf]);
+    // hi() over every member, per-segment sort and front-s select as one
+    // launch; it must wait until the previous copy out of this minima
+    // buffer has completed.
+    double select_done = 0.0;
+    {
+      obs::HostSpan span(tracer, trace_phase + ".kernel");
+      select_done = device::segmented_min_s(
+          bufs.members, bufs.offsets.device_span(), h, s, bufs.minima[buf],
+          lane.compute, copy_done[buf]);
+    }
 
     host_minima.resize(nsegs * s);
     copy_done[buf] = device::copy_to_host<u64>(host_minima, bufs.minima[buf],
                                                lane.copy, select_done);
 
-    // CPU consumes the trial's minima: merge split pieces, hash complete
-    // lists into tuples (Figure 3, step 2 + the split-list merge).
+    // CPU consumes the trial's minima: hash complete lists into their
+    // tuple slots in parallel, then merge split pieces (Figure 3, step 2
+    // + the split-list merge).
     util::ScopedTimer t(reg, cpu_metric);
     obs::HostSpan span(tracer, trace_phase + ".consume");
-    for (std::size_t seg = 0; seg < nsegs; ++seg) {
-      consume_segment_minima(
+    ShingleId* shingles = fx.tuples.shingle.data() + std::size_t{j} * ending;
+    u32* owners = fx.tuples.owner.data() + std::size_t{j} * ending;
+    auto consume_complete = [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t seg = lo; seg < hi; ++seg) {
+        if (!batch.seg_starts_list[seg] || !batch.seg_ends_list[seg]) continue;
+        shingles[seg] =
+            complete_list_shingle(j, {host_minima.data() + seg * s, s});
+        owners[seg] = batch.seg_list_ids[seg];
+      }
+    };
+    if (run_inline) {
+      consume_complete(0, nsegs);
+    } else {
+      ctx.pool().parallel_for(0, nsegs, consume_complete);
+    }
+    for (std::size_t seg : split_segs) {
+      const ShingleId id = consume_segment_minima(
           batch.seg_list_ids[seg], batch.seg_starts_list[seg] != 0,
           batch.seg_ends_list[seg] != 0, j, c, s,
           {host_minima.data() + seg * s, s}, committed, fx);
+      if (batch.seg_ends_list[seg]) {
+        shingles[seg] = id;
+        owners[seg] = batch.seg_list_ids[seg];
+      }
     }
   }
   return fx;
 }
 
 /// Bit-identical CPU continuation: processes the remaining pieces with the
-/// serial s-minima scan (min_s_images produces exactly the sorted
-/// front-s the select kernel produces), feeding the same consume step, so
-/// partially merged split lists complete correctly.
+/// serial s-minima scan (min_s_images produces exactly the minima the
+/// device kernel produces), feeding the same consume step, so partially
+/// merged split lists complete correctly.
 void process_pieces_cpu(std::span<const ListPiece> pieces,
                         std::span<const u32> members,
                         const HashFamily& family, u32 s,
@@ -221,9 +248,10 @@ void process_pieces_cpu(std::span<const ListPiece> pieces,
       min_s_images({members.data() + piece.global_begin,
                     static_cast<std::size_t>(piece.length)},
                    family[j], s, {minima.data(), s});
-      consume_segment_minima(piece.list_id, piece.starts_list,
-                             piece.ends_list, j, c, s, {minima.data(), s},
-                             pending, fx);
+      const ShingleId id = consume_segment_minima(
+          piece.list_id, piece.starts_list, piece.ends_list, j, c, s,
+          {minima.data(), s}, pending, fx);
+      if (piece.ends_list) fx.tuples.append(id, piece.list_id);
     }
   }
   commit_effects(std::move(fx), tuples, pending);

@@ -7,9 +7,10 @@
 //     transform (hash h_j over every member)           [Figure 4, hi()]
 //   -> segmented sort (per adjacency-list segment)     [Figure 4]
 //   -> select kernel (front s of each segment)         [top-s elements]
-// and the s-minima per segment are copied back to the host, which hashes
-// them into <shingle, owner> tuples ("it is safe to transfer the generated
-// shingles back to the host memory after each iteration").
+// as one device::segmented_min_s launch (one host pass, the three kernels
+// charged), and the s-minima per segment are copied back to the host,
+// which hashes them into <shingle, owner> tuples ("it is safe to transfer
+// the generated shingles back to the host memory after each iteration").
 //
 // Stream pipelining (DESIGN.md §8): the pass schedules batches over
 // `num_streams` device streams organized as lanes — each lane a
@@ -73,8 +74,9 @@ std::size_t default_batch_elements(const device::DeviceContext& ctx, u32 s,
 /// CPU-side staging/merging wall time is recorded under `cpu_metric` when
 /// `metrics` is non-null. When a tracer is attached to `ctx`, the same
 /// CPU sections become host-measured spans under `trace_phase` (".plan",
-/// ".stage", ".consume"), modeled device ops are attributed to the phase,
-/// and the "batches"/"tuples" counters advance.
+/// ".stage", ".consume"), the host execution of each simulated kernel
+/// launch a ".kernel" span, modeled device ops are attributed to the
+/// phase, and the "batches"/"tuples" counters advance.
 ShingleTuples extract_shingles_device(device::DeviceContext& ctx,
                                       std::span<const u64> offsets,
                                       std::span<const u32> members,

@@ -110,7 +110,7 @@ Clustering GpClust::cluster_file(const std::string& path,
 
 Clustering GpClust::run(const graph::CsrGraph& g, GpClustReport* report,
                         double disk_seconds) {
-  params_.validate(g.num_vertices());
+  params_.validate();
   ctx_.reset_timeline();
 
   obs::Tracer* tracer = options_.tracer;
@@ -125,8 +125,8 @@ Clustering GpClust::run(const graph::CsrGraph& g, GpClustReport* report,
   pass_options.max_batch_elements = options_.max_batch_elements;
   pass_options.resilience = options_.resilience;
 
-  const HashFamily family1(params_.c1, params_.prime, params_.seed, 1);
-  const HashFamily family2(params_.c2, params_.prime, params_.seed, 2);
+  const HashFamily family1(params_.c1, params_.seed, 1);
+  const HashFamily family2(params_.c2, params_.seed, 2);
 
   DevicePassStats stats1, stats2;
 

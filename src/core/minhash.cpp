@@ -4,16 +4,15 @@
 
 namespace gpclust::core {
 
-HashFamily::HashFamily(u32 count, u64 prime, u64 seed, u32 level) {
+HashFamily::HashFamily(u32 count, u64 seed, u32 level) {
   GPCLUST_CHECK(count >= 1, "hash family needs at least one member");
-  GPCLUST_CHECK(prime >= 2, "modulus must be at least 2");
   util::SplitMix64 sm(seed ^ (0x9e3779b97f4a7c15ULL * (level + 1)));
   hashes_.reserve(count);
   for (u32 j = 0; j < count; ++j) {
     AffineHash h;
-    h.p = prime;
-    h.a = 1 + sm.next() % (prime - 1);  // A in [1, P): keeps the map bijective
-    h.b = sm.next() % prime;
+    // A in [1, P) keeps the map bijective.
+    h.a = 1 + sm.next() % (util::kMersenne61 - 1);
+    h.b = sm.next() % util::kMersenne61;
     hashes_.push_back(h);
   }
 }

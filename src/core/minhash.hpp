@@ -12,15 +12,12 @@
 
 namespace gpclust::core {
 
-/// One affine permutation v -> (A*v + B) mod P.
+/// One affine permutation v -> (A*v + B) mod P, P = 2^61 - 1; A, B < P.
 struct AffineHash {
   u64 a = 1;
   u64 b = 0;
-  u64 p = util::kMersenne61;
 
-  u64 operator()(u64 v) const {
-    return (util::mulmod(a, v % p, p) + b) % p;
-  }
+  u64 operator()(u64 v) const { return util::affine_mod_mersenne61(a, b, v); }
 };
 
 /// The fixed set {<A_j, B_j> | j in [0, c)} for one shingling level.
@@ -28,7 +25,7 @@ struct AffineHash {
 /// device implementations share identical permutations.
 class HashFamily {
  public:
-  HashFamily(u32 count, u64 prime, u64 seed, u32 level);
+  HashFamily(u32 count, u64 seed, u32 level);
 
   u32 size() const { return static_cast<u32>(hashes_.size()); }
   const AffineHash& operator[](u32 j) const { return hashes_[j]; }

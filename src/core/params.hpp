@@ -4,7 +4,6 @@
 // second level, chosen by the authors' preliminary empirical tests.
 
 #include "util/common.hpp"
-#include "util/prime.hpp"
 
 namespace gpclust::core {
 
@@ -51,22 +50,15 @@ struct ShinglingParams {
   /// Seed for the fixed set of random pairs <A_j, B_j>.
   u64 seed = 20130520;
 
-  /// The "big prime number" P of the min-wise permutation v -> (A*v+B)%P.
-  /// Must exceed every vertex id in the input graph.
-  u64 prime = util::kMersenne61;
-
   ReportMode mode = ReportMode::Partition;
 
   /// Clusters smaller than this are still computed, but helpers exist to
   /// filter (the GOS comparison only reports clusters of size >= 20).
   std::size_t min_cluster_size = 1;
 
-  void validate(std::size_t num_vertices) const {
+  void validate() const {
     GPCLUST_CHECK(s1 >= 1 && s2 >= 1, "shingle size must be >= 1");
     GPCLUST_CHECK(c1 >= 1 && c2 >= 1, "trial count must be >= 1");
-    GPCLUST_CHECK(prime > num_vertices,
-                  "prime must exceed the vertex id universe");
-    GPCLUST_CHECK(util::is_prime(prime), "modulus must be prime");
   }
 };
 

@@ -50,13 +50,13 @@ ShingleTuples extract_shingles_serial(std::span<const u64> offsets,
 Clustering SerialShingler::cluster(const graph::CsrGraph& g,
                                    util::MetricsRegistry* metrics,
                                    obs::Tracer* tracer) const {
-  params_.validate(g.num_vertices());
+  params_.validate();
   util::MetricsRegistry local;
   util::MetricsRegistry& reg = metrics ? *metrics : local;
   obs::add_counter(tracer, "sequences", g.num_vertices());
 
-  const HashFamily family1(params_.c1, params_.prime, params_.seed, 1);
-  const HashFamily family2(params_.c2, params_.prime, params_.seed, 2);
+  const HashFamily family1(params_.c1, params_.seed, 1);
+  const HashFamily family2(params_.c2, params_.seed, 2);
 
   ShingleTuples tuples1;
   {

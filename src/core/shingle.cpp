@@ -2,43 +2,15 @@
 
 #include <algorithm>
 
+#include "util/min_s.hpp"
 #include "util/rng.hpp"
 
 namespace gpclust::core {
 
 void min_s_images(std::span<const VertexId> gamma, const AffineHash& h, u32 s,
                   std::span<u64> out) {
-  GPCLUST_CHECK(out.size() >= s, "output span too small");
-  std::fill(out.begin(), out.begin() + s, kNoValue);
-  for (VertexId v : gamma) {
-    u64 value = h(v);
-    if (value >= out[s - 1]) continue;
-    // Insertion into the sorted s-prefix.
-    u32 pos = s - 1;
-    while (pos > 0 && out[pos - 1] > value) {
-      out[pos] = out[pos - 1];
-      --pos;
-    }
-    out[pos] = value;
-  }
-}
-
-void min_s_images_heap(std::span<const VertexId> gamma, const AffineHash& h,
-                       u32 s, std::span<u64> out) {
-  GPCLUST_CHECK(out.size() >= s, "output span too small");
-  // Max-heap over the current s smallest values in out[0..s).
-  std::fill(out.begin(), out.begin() + s, kNoValue);
-  auto heap_begin = out.begin();
-  auto heap_end = out.begin() + s;
-  std::make_heap(heap_begin, heap_end);  // all kNoValue: already a heap
-  for (VertexId v : gamma) {
-    const u64 value = h(v);
-    if (value >= out[0]) continue;
-    std::pop_heap(heap_begin, heap_end);
-    *(heap_end - 1) = value;
-    std::push_heap(heap_begin, heap_end);
-  }
-  std::sort_heap(heap_begin, heap_end);
+  GPCLUST_CHECK(s >= 1 && out.size() >= s, "output span too small");
+  util::min_s_keys(gamma, h, out.first(s));
 }
 
 void merge_minima(std::span<u64> into, std::span<const u64> other) {

@@ -4,20 +4,23 @@
 // shingle id (paper §III-B).
 //
 // Both the serial path (insertion sort over an s-sized array, as pClust
-// does) and the device path (segmented sort + take-front-s, as gpClust's
-// Figure 4 does) reduce a list to the same minima vector, so both produce
-// bit-identical shingle ids — the central cross-implementation invariant.
+// does) and the device path (device::segmented_min_s, which stands for
+// gpClust's Figure 4 transform + segmented sort + take-front-s) reduce a
+// list to the same minima vector through util::min_s_keys, so both
+// produce bit-identical shingle ids — the central cross-implementation
+// invariant.
 
 #include <span>
 #include <vector>
 
 #include "core/minhash.hpp"
 #include "util/common.hpp"
+#include "util/min_s.hpp"
 
 namespace gpclust::core {
 
 /// Sentinel for "no value": larger than any permuted value (which are < P).
-inline constexpr u64 kNoValue = ~0ULL;
+inline constexpr u64 kNoValue = util::kMinSPad;
 
 /// Computes the s smallest values of {h(v) : v in gamma} into out[0..s),
 /// ascending, padding with kNoValue when gamma.size() < s. Uses the
@@ -26,14 +29,6 @@ inline constexpr u64 kNoValue = ~0ULL;
 /// sort-based approach").
 void min_s_images(std::span<const VertexId> gamma, const AffineHash& h, u32 s,
                   std::span<u64> out);
-
-/// Reference alternative to min_s_images using a max-heap instead of the
-/// insertion sort. Same contract and output. Exists to back the ablation
-/// justifying the paper's choice ("the small values of s expected to be
-/// used in practice... justify a simple insertion sort-based approach"):
-/// for s <= ~10 the branchy heap loses to the insertion scan.
-void min_s_images_heap(std::span<const VertexId> gamma, const AffineHash& h,
-                       u32 s, std::span<u64> out);
 
 /// Merges two ascending minima arrays (each of length s, kNoValue-padded)
 /// into `into`: the s smallest of the union. Used by the CPU to combine

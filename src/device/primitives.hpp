@@ -3,9 +3,11 @@
 //
 // These are the building blocks the paper names explicitly (§III-C): the
 // shingling kernel is "two efficient primitives transform() and sorting()
-// implemented in the Thrust library". Each primitive executes its real
-// computation on the host thread pool (the simulated device's cores) and
-// charges modeled device time on the context timeline. Every function
+// implemented in the Thrust library" — here segmented_min_s, which runs
+// that transform + segmented sort + select as one host pass and charges
+// the three kernels. Each primitive executes its real computation on the
+// host thread pool (the simulated device's cores) and charges modeled
+// device time on the context timeline. Every function
 // returns the op's completion time so callers can express cross-stream
 // dependencies (used by the asynchronous pipeline).
 
@@ -15,6 +17,7 @@
 
 #include "device/device_vector.hpp"
 #include "device/fault_points.hpp"
+#include "util/min_s.hpp"
 
 namespace gpclust::device {
 
@@ -67,20 +70,6 @@ double transform_weighted(const DeviceVector<T>& in, DeviceVector<U>& out, F f,
                                 ctx.align_cost(total_cells), ready_after);
 }
 
-/// data[i] = f(i) — a grid-stride "generate" kernel.
-template <typename T, typename F>
-double tabulate(DeviceVector<T>& data, F f, StreamId stream = kDefaultStream,
-                double ready_after = 0.0) {
-  DeviceContext& ctx = detail::ctx_of(data);
-  detail::maybe_inject_kernel_fault(ctx, "tabulate");
-  auto dst = data.device_span();
-  ctx.pool().parallel_for(0, dst.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) dst[i] = f(i);
-  });
-  return ctx.timeline().enqueue(stream, OpKind::Kernel,
-                                ctx.transform_cost(dst.size()), ready_after);
-}
-
 /// Whole-buffer comparison sort (thrust::sort).
 template <typename T, typename Cmp = std::less<T>>
 double sort(DeviceVector<T>& data, Cmp cmp = Cmp{},
@@ -93,35 +82,79 @@ double sort(DeviceVector<T>& data, Cmp cmp = Cmp{},
                                 ctx.sort_cost(sp.size()), ready_after);
 }
 
-/// Sorts each segment [offsets[s], offsets[s+1]) of `data` independently —
-/// the segmented sort at the heart of the shingling kernel (Figure 4).
-/// `offsets` has num_segments + 1 entries; offsets.back() == data.size().
-/// Segments are distributed over the device's worker threads.
-template <typename T>
-double segmented_sort(DeviceVector<T>& data, std::span<const u64> offsets,
-                      StreamId stream = kDefaultStream,
-                      double ready_after = 0.0) {
-  DeviceContext& ctx = detail::ctx_of(data);
-  detail::maybe_inject_kernel_fault(ctx, "segmented_sort");
-  GPCLUST_CHECK(!offsets.empty() && offsets.back() == data.size(),
+/// Kernels over fewer elements run inline on the calling thread: below
+/// this size a pool dispatch costs more than the work it spreads.
+inline constexpr std::size_t kInlineKernelElements = std::size_t{1} << 16;
+
+/// The shingling kernel of Figure 4 in one pass: for each segment
+/// [offsets[g], offsets[g+1]) of `members`, out[g*s .. g*s+s) receives the
+/// s smallest of {hash(m) : m in the segment}, ascending, padded with
+/// util::kMinSPad when the segment is shorter than s. That is what the
+/// paper's transform (hash every member), segmented sort and take-front-s
+/// select produce, and the timeline is charged exactly those three
+/// kernels: the map over members.size() elements, the segmented sort, and
+/// the select over num_segments * s slots. The select overwrites `out`, so
+/// it waits for `ready_after` (the last copy out of `out`); the return
+/// value is its completion time. The host executes a single pass,
+/// spread over the pool by elements (inline below kInlineKernelElements),
+/// and consults the kernel fault point once per launch.
+template <typename T, typename F>
+double segmented_min_s(const DeviceVector<T>& members,
+                       std::span<const u64> offsets, F hash, u32 s,
+                       DeviceVector<u64>& out, StreamId stream = kDefaultStream,
+                       double ready_after = 0.0) {
+  DeviceContext& ctx = detail::ctx_of(members);
+  detail::maybe_inject_kernel_fault(ctx, "segmented_min_s");
+  GPCLUST_CHECK(out.context() == &ctx, "vectors belong to different devices");
+  GPCLUST_CHECK(!offsets.empty() && offsets.back() == members.size(),
                 "offsets must cover the data exactly");
-  auto sp = data.device_span();
-  u64 max_segment = 0;
-  for (std::size_t s = 0; s + 1 < offsets.size(); ++s) {
-    max_segment = std::max(max_segment, offsets[s + 1] - offsets[s]);
+  GPCLUST_CHECK(s >= 1, "need at least one minimum per segment");
+  const std::size_t nsegs = offsets.size() - 1;
+  const std::size_t nelems = members.size();
+  GPCLUST_CHECK(out.size() >= nsegs * s, "output too small");
+  auto src = members.device_span();
+  auto dst = out.device_span();
+
+  // Part k covers the segments starting in [nelems*k/parts,
+  // nelems*(k+1)/parts), so each part holds about the same elements.
+  const std::size_t parts =
+      nelems < kInlineKernelElements ? 1 : ctx.pool().size();
+  std::vector<u64> part_max(parts, 0);
+  auto run_part = [&](std::size_t k) {
+    const auto first_seg = [&](std::size_t part) -> std::size_t {
+      if (part == parts) return nsegs;
+      const u64 target = static_cast<u64>(nelems * part / parts);
+      return static_cast<std::size_t>(
+          std::lower_bound(offsets.begin(), offsets.end() - 1, target) -
+          offsets.begin());
+    };
+    u64 longest = 0;
+    for (std::size_t g = first_seg(k), end = first_seg(k + 1); g < end; ++g) {
+      const u64 lo = offsets[g];
+      const u64 len = offsets[g + 1] - lo;
+      longest = std::max(longest, len);
+      util::min_s_keys(src.subspan(lo, len), hash, dst.subspan(g * s, s));
+    }
+    part_max[k] = longest;
+  };
+  if (parts == 1) {
+    run_part(0);
+  } else {
+    ctx.pool().parallel_for(0, parts, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t k = lo; k < hi; ++k) run_part(k);
+    });
   }
-  ctx.pool().parallel_for(
-      0, offsets.size() - 1, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t s = lo; s < hi; ++s) {
-          std::sort(sp.begin() + static_cast<std::ptrdiff_t>(offsets[s]),
-                    sp.begin() + static_cast<std::ptrdiff_t>(offsets[s + 1]));
-        }
-      });
-  return ctx.timeline().enqueue(
+  const u64 max_segment = *std::max_element(part_max.begin(), part_max.end());
+
+  ctx.timeline().enqueue(stream, OpKind::Kernel, ctx.transform_cost(nelems),
+                         0.0);
+  ctx.timeline().enqueue(
       stream, OpKind::Kernel,
-      ctx.segmented_sort_cost(sp.size(),
-                              static_cast<std::size_t>(max_segment) * sizeof(T)),
-      ready_after);
+      ctx.segmented_sort_cost(
+          nelems, static_cast<std::size_t>(max_segment) * sizeof(u64)),
+      0.0);
+  return ctx.timeline().enqueue(stream, OpKind::Kernel,
+                                ctx.transform_cost(nsegs * s), ready_after);
 }
 
 /// Key-value sort (thrust::sort_by_key): reorders both arrays so keys are

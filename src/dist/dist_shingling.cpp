@@ -107,7 +107,7 @@ core::Clustering distributed_cluster(const graph::CsrGraph& g,
                                      obs::Tracer* tracer,
                                      fault::FaultPlan* fault_plan,
                                      fault::ResiliencePolicy resilience) {
-  params.validate(g.num_vertices());
+  params.validate();
   GPCLUST_CHECK(num_ranks >= 1, "need at least one rank");
   obs::add_counter(tracer, "sequences", g.num_vertices());
 
@@ -146,8 +146,8 @@ core::Clustering distributed_cluster(const graph::CsrGraph& g,
 
   obs::HostSpan ensemble_span(tracer, "dist.cluster");
   run_ranks(live, [&](Communicator& comm) {
-    const HashFamily family1(params.c1, params.prime, params.seed, 1);
-    const HashFamily family2(params.c2, params.prime, params.seed, 2);
+    const HashFamily family1(params.c1, params.seed, 1);
+    const HashFamily family2(params.c2, params.seed, 2);
 
     // ---- Pass I over the shared input graph -----------------------------
     const auto [lo, hi] = block_of(g.num_vertices(), comm.rank(), comm.size());

@@ -44,9 +44,7 @@ class SketchHashes {
   u64 size() const { return static_cast<u64>(a_.size()); }
 
   u64 apply(std::size_t j, u64 code) const {
-    return (util::mulmod(a_[j], code % util::kMersenne61, util::kMersenne61) +
-            b_[j]) %
-           util::kMersenne61;
+    return util::affine_mod_mersenne61(a_[j], b_[j], code);
   }
 
   /// Fills `out` (size() slots) with the min-hash sketch of `codes`;

@@ -32,7 +32,7 @@ double jaccard(std::vector<VertexId> a, std::vector<VertexId> b) {
 double shared_shingle_rate(const std::vector<VertexId>& a,
                            const std::vector<VertexId>& b, u32 s, u32 trials,
                            u64 seed) {
-  const HashFamily fam(trials, util::kMersenne61, seed, 1);
+  const HashFamily fam(trials, seed, 1);
   std::vector<u64> ma(s), mb(s);
   u32 same = 0;
   for (u32 j = 0; j < trials; ++j) {

@@ -67,7 +67,7 @@ TEST(Resilience, OffModePropagatesInjectedFaults) {
   const auto params = resilience_test_params();
 
   for (const char* spec : {"oom@alloc:2", "xfer_fail@h2d:1",
-                           "kernel_fail@kernel:4", "xfer_fail@d2h:0"}) {
+                           "kernel_fail@kernel:1", "xfer_fail@d2h:0"}) {
     auto plan = fault::FaultPlan::parse(spec);
     device::DeviceContext ctx(device::DeviceSpec::small_test_device(4 << 20));
     core::GpClustOptions options;
@@ -115,7 +115,7 @@ TEST(Resilience, TransientFaultRetriesAndChargesModeledTime) {
                           clean_tracer, &clean_report),
             expected);
 
-  auto plan = fault::FaultPlan::parse("xfer_fail@h2d:1,kernel_fail@kernel:6");
+  auto plan = fault::FaultPlan::parse("xfer_fail@h2d:1,kernel_fail@kernel:2");
   obs::Tracer tracer;
   core::GpClustReport report;
   EXPECT_EQ(run_with_plan(g, params, plan, fault::ResilienceMode::Retry,
@@ -198,7 +198,7 @@ TEST(Resilience, MidStreamFaultAfterCommittedBatchesStaysIdentical) {
   // A late persistent kernel fault: several batches commit on the device,
   // then the rest of the pass must finish on the CPU. Split-list state in
   // flight at the failure point must survive into the fallback.
-  auto plan = fault::FaultPlan::parse("kernel_fail@kernel:40-999999");
+  auto plan = fault::FaultPlan::parse("kernel_fail@kernel:13-999999");
   obs::Tracer tracer;
   EXPECT_EQ(run_with_plan(g, params, plan, fault::ResilienceMode::Fallback,
                           tracer, nullptr, false, /*max_batch_elements=*/7),

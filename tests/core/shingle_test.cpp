@@ -9,7 +9,7 @@
 namespace gpclust::core {
 namespace {
 
-const AffineHash kIdentity{.a = 1, .b = 0, .p = util::kMersenne61};
+const AffineHash kIdentity{.a = 1, .b = 0};
 
 TEST(MinSImages, SelectsSmallestImagesAscending) {
   const std::vector<VertexId> gamma = {9, 3, 7, 1, 5};
@@ -37,7 +37,7 @@ TEST(MinSImages, EmptyListAllPadding) {
 
 TEST(MinSImages, MatchesFullSortReference) {
   util::Xoshiro256 rng(5);
-  const AffineHash h{.a = 987654321, .b = 123456789, .p = util::kMersenne61};
+  const AffineHash h{.a = 987654321, .b = 123456789};
   for (int iter = 0; iter < 50; ++iter) {
     std::vector<VertexId> gamma(1 + rng.next_below(100));
     for (auto& v : gamma) v = static_cast<VertexId>(rng.next_below(1 << 20));
@@ -59,16 +59,33 @@ TEST(MinSImages, MatchesFullSortReference) {
 TEST(MinSImages, OrderOfInputIrrelevant) {
   std::vector<VertexId> gamma = {10, 20, 30, 40, 50};
   std::vector<u64> a(2), b(2);
-  const AffineHash h{.a = 123457, .b = 991, .p = util::kMersenne61};
+  const AffineHash h{.a = 123457, .b = 991};
   min_s_images(gamma, h, 2, a);
   std::reverse(gamma.begin(), gamma.end());
   min_s_images(gamma, h, 2, b);
   EXPECT_EQ(a, b);
 }
 
+/// Max-heap s-minima: an independent selection the insertion scan must
+/// agree with.
+void min_s_images_heap(std::span<const VertexId> gamma, const AffineHash& h,
+                       u32 s, std::span<u64> out) {
+  std::fill(out.begin(), out.begin() + s, kNoValue);
+  const auto heap_begin = out.begin();
+  const auto heap_end = out.begin() + s;
+  for (VertexId v : gamma) {
+    const u64 value = h(v);
+    if (value >= out[0]) continue;
+    std::pop_heap(heap_begin, heap_end);
+    *(heap_end - 1) = value;
+    std::push_heap(heap_begin, heap_end);
+  }
+  std::sort_heap(heap_begin, heap_end);
+}
+
 TEST(MinSImagesHeap, MatchesInsertionSortVariant) {
   util::Xoshiro256 rng(7);
-  const AffineHash h{.a = 1664525, .b = 1013904223, .p = util::kMersenne61};
+  const AffineHash h{.a = 1664525, .b = 1013904223};
   for (int iter = 0; iter < 60; ++iter) {
     std::vector<VertexId> gamma(rng.next_below(120));
     for (auto& v : gamma) v = static_cast<VertexId>(rng.next_below(1 << 24));
@@ -107,7 +124,7 @@ TEST(MergeMinima, EquivalentToSingleShotOverUnion) {
   // the same result as computing the s-minima of the whole list — the
   // invariant the batch-split CPU merge relies on.
   util::Xoshiro256 rng(13);
-  const AffineHash h{.a = 22801763489ULL, .b = 7, .p = util::kMersenne61};
+  const AffineHash h{.a = 22801763489ULL, .b = 7};
   for (int iter = 0; iter < 50; ++iter) {
     std::vector<VertexId> gamma(2 + rng.next_below(60));
     for (auto& v : gamma) v = static_cast<VertexId>(rng.next_below(1 << 22));

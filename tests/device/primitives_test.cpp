@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "fault/fault_plan.hpp"
 #include "util/rng.hpp"
 
 namespace gpclust::device {
@@ -44,12 +45,6 @@ TEST_F(PrimitivesTest, TransformChargesKernelTime) {
   EXPECT_GT(ctx_.gpu_seconds(), before);
 }
 
-TEST_F(PrimitivesTest, TabulateGeneratesByIndex) {
-  DeviceVector<u64> v(ctx_, 5);
-  tabulate(v, [](std::size_t i) { return static_cast<u64>(i * 10); });
-  EXPECT_EQ(download(v), (std::vector<u64>{0, 10, 20, 30, 40}));
-}
-
 TEST_F(PrimitivesTest, SortMatchesStdSort) {
   util::Xoshiro256 rng(4);
   std::vector<u64> host(5000);
@@ -64,40 +59,6 @@ TEST_F(PrimitivesTest, SortWithCustomComparator) {
   auto dev = upload<u32>({3, 1, 2});
   sort(dev, std::greater<u32>{});
   EXPECT_EQ(download(dev), (std::vector<u32>{3, 2, 1}));
-}
-
-TEST_F(PrimitivesTest, SegmentedSortSortsWithinSegmentsOnly) {
-  auto dev = upload<u32>({5, 3, 9, 2, 8, 1, 7});
-  const std::vector<u64> offsets = {0, 3, 3, 7};  // middle segment is empty
-  segmented_sort(dev, offsets);
-  EXPECT_EQ(download(dev), (std::vector<u32>{3, 5, 9, 1, 2, 7, 8}));
-}
-
-TEST_F(PrimitivesTest, SegmentedSortMatchesPerSegmentStdSort) {
-  util::Xoshiro256 rng(11);
-  std::vector<u64> host(2000);
-  for (auto& x : host) x = rng.next_below(1000);
-  // Random segment boundaries.
-  std::vector<u64> offsets = {0};
-  while (offsets.back() < host.size()) {
-    offsets.push_back(
-        std::min<u64>(host.size(), offsets.back() + 1 + rng.next_below(50)));
-  }
-  auto dev = upload(host);
-  segmented_sort(dev, offsets);
-  auto expected = host;
-  for (std::size_t s = 0; s + 1 < offsets.size(); ++s) {
-    std::sort(expected.begin() + static_cast<std::ptrdiff_t>(offsets[s]),
-              expected.begin() + static_cast<std::ptrdiff_t>(offsets[s + 1]));
-  }
-  EXPECT_EQ(download(dev), expected);
-}
-
-TEST_F(PrimitivesTest, SegmentedSortValidatesOffsets) {
-  auto dev = upload<u32>({1, 2, 3});
-  const std::vector<u64> bad = {0, 2};
-  EXPECT_THROW(segmented_sort(dev, bad), InvalidArgument);
-  EXPECT_THROW(segmented_sort(dev, std::span<const u64>{}), InvalidArgument);
 }
 
 TEST_F(PrimitivesTest, SortByKeyReordersValuesWithKeys) {
@@ -160,6 +121,126 @@ TEST_F(PrimitivesTest, KernelCostScalesWithElements) {
   transform(big, out_big, [](u32 x) { return x; });
   const double t_big = ctx_.gpu_seconds();
   EXPECT_GT(t_big, t_small * 10);
+}
+
+// --- segmented_min_s: the fused shingling kernel ---------------------------
+
+u64 test_hash(u32 v) { return (u64{v} * 0x9e3779b97f4a7c15ULL) >> 4; }
+
+/// Sort-then-take-front-s: what the paper's transform + segmented sort +
+/// select kernels produce.
+std::vector<u64> sort_take_front(const std::vector<u32>& members,
+                                 const std::vector<u64>& offsets, u32 s) {
+  std::vector<u64> out;
+  for (std::size_t g = 0; g + 1 < offsets.size(); ++g) {
+    std::vector<u64> images;
+    for (u64 i = offsets[g]; i < offsets[g + 1]; ++i) {
+      images.push_back(test_hash(members[i]));
+    }
+    std::sort(images.begin(), images.end());
+    images.resize(s, util::kMinSPad);
+    out.insert(out.end(), images.begin(), images.end());
+  }
+  return out;
+}
+
+/// Segments of length 0, 1, s-1, s and >> s, repeated over `total` members.
+void make_segments(u32 s, std::size_t total, u64 seed,
+                   std::vector<u32>& members, std::vector<u64>& offsets) {
+  util::Xoshiro256 rng(seed);
+  const std::vector<u64> lengths = {0, 1, s - 1, s, 40 * s + 3, 0};
+  offsets = {0};
+  while (offsets.back() < total) {
+    const u64 len = lengths[(offsets.size() - 1) % lengths.size()];
+    offsets.push_back(std::min<u64>(total, offsets.back() + len));
+  }
+  members.resize(total);
+  for (auto& m : members) m = static_cast<u32>(rng.next_below(1u << 20));
+}
+
+TEST(SegmentedMinS, MatchesSortThenTakeFrontOracle) {
+  for (std::size_t threads : {1u, 4u}) {
+    util::ThreadPool pool(threads);
+    DeviceContext ctx(DeviceSpec::small_test_device(16 << 20), &pool);
+    for (u32 s : {1u, 2u, 3u}) {
+      // Both sides of the inline cutoff.
+      for (std::size_t total : {std::size_t{500}, kInlineKernelElements + 77}) {
+        std::vector<u32> members;
+        std::vector<u64> offsets;
+        make_segments(s, total, 17 * s + threads, members, offsets);
+        const std::size_t nsegs = offsets.size() - 1;
+        DeviceVector<u32> dev(ctx, members.size());
+        copy_to_device<u32>(dev, members);
+        DeviceVector<u64> out(ctx, nsegs * s);
+        segmented_min_s(dev, offsets, test_hash, s, out);
+        std::vector<u64> got(nsegs * s);
+        copy_to_host<u64>(got, out);
+        EXPECT_EQ(got, sort_take_front(members, offsets, s))
+            << "threads=" << threads << " s=" << s << " total=" << total;
+      }
+    }
+  }
+}
+
+TEST(SegmentedMinS, ChargesTheThreeKernelsItStandsFor) {
+  DeviceContext ctx(DeviceSpec::small_test_device(16 << 20));
+  const u32 s = 2;
+  std::vector<u32> members;
+  std::vector<u64> offsets;
+  make_segments(s, 3000, 5, members, offsets);
+  const std::size_t nsegs = offsets.size() - 1;
+  DeviceVector<u32> dev(ctx, members.size());
+  copy_to_device<u32>(dev, members);
+  DeviceVector<u64> out(ctx, nsegs * s);
+
+  ctx.reset_timeline();
+  const double ready_after = 1.0;
+  const double done =
+      segmented_min_s(dev, offsets, test_hash, s, out, kDefaultStream,
+                      ready_after);
+  const u64 longest = 40 * s + 3;
+  const double expected =
+      ctx.transform_cost(members.size()) +
+      ctx.segmented_sort_cost(members.size(), longest * sizeof(u64)) +
+      ctx.transform_cost(nsegs * s);
+  EXPECT_EQ(ctx.timeline().num_ops(), 3u);
+  EXPECT_DOUBLE_EQ(ctx.gpu_seconds(), expected);
+  // Only the select waits for the copy out of `out`.
+  EXPECT_DOUBLE_EQ(done, ready_after + ctx.transform_cost(nsegs * s));
+}
+
+TEST(SegmentedMinS, OneLaunchConsumesOneKernelFaultIndex) {
+  DeviceContext ctx(DeviceSpec::small_test_device(1 << 20));
+  auto dev_members = std::vector<u32>{4, 1, 3, 2};
+  DeviceVector<u32> dev(ctx, 4);
+  copy_to_device<u32>(dev, dev_members);
+  const std::vector<u64> offsets = {0, 2, 4};
+  DeviceVector<u64> out(ctx, 4);
+
+  auto plan = fault::FaultPlan::parse("kernel_fail@kernel:1");
+  ctx.set_fault_plan(&plan);
+  EXPECT_NO_THROW(segmented_min_s(dev, offsets, test_hash, 2, out));
+  EXPECT_THROW(segmented_min_s(dev, offsets, test_hash, 2, out), KernelError);
+  EXPECT_NO_THROW(segmented_min_s(dev, offsets, test_hash, 2, out));
+  ctx.set_fault_plan(nullptr);
+  EXPECT_EQ(plan.injected(), 1u);
+}
+
+TEST(SegmentedMinS, ValidatesArguments) {
+  DeviceContext ctx(DeviceSpec::small_test_device(1 << 20));
+  DeviceVector<u32> dev(ctx, 3);
+  DeviceVector<u64> out(ctx, 4);
+  const std::vector<u64> offsets = {0, 1, 3};
+  const std::vector<u64> short_offsets = {0, 2};
+  EXPECT_THROW(segmented_min_s(dev, short_offsets, test_hash, 2, out),
+               InvalidArgument);
+  EXPECT_THROW(segmented_min_s(dev, std::span<const u64>{}, test_hash, 2, out),
+               InvalidArgument);
+  EXPECT_THROW(segmented_min_s(dev, offsets, test_hash, 3, out),
+               InvalidArgument);  // 2 segments * 3 slots > 4
+  EXPECT_THROW(segmented_min_s(dev, offsets, test_hash, 0, out),
+               InvalidArgument);
+  EXPECT_NO_THROW(segmented_min_s(dev, offsets, test_hash, 2, out));
 }
 
 }  // namespace

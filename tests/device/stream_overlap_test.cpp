@@ -173,7 +173,7 @@ TEST(StreamOverlap, StreamsAndResilienceAllMatchSerial) {
   // A chaos-style schedule touching every fault site; Fallback mode must
   // absorb all of it without changing a single cluster.
   const char* kChaosSpec =
-      "xfer_fail@h2d:2,kernel_fail@kernel:9,oom@alloc:11,xfer_fail@d2h:25";
+      "xfer_fail@h2d:2,kernel_fail@kernel:3,oom@alloc:11,xfer_fail@d2h:25";
 
   for (std::size_t streams : {1u, 2u, 4u, 8u}) {
     for (bool chaos : {false, true}) {

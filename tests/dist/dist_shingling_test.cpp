@@ -85,7 +85,7 @@ TEST(DistShingling, EmptyGraph) {
 TEST(DistShingling, ValidatesParams) {
   const auto g = graph::generate_erdos_renyi(10, 0.5, 1);
   auto p = test_params();
-  p.prime = 5;
+  p.s2 = 0;
   EXPECT_THROW(distributed_cluster(g, p, 2), InvalidArgument);
   EXPECT_THROW(distributed_cluster(g, test_params(), 0), InvalidArgument);
 }

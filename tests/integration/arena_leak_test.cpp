@@ -105,7 +105,7 @@ TEST(ArenaLeak, EmptyAfterMidTransferFaults) {
   // an allocation and its matching release.
   for (const char* spec :
        {"xfer_fail@h2d:0", "xfer_fail@h2d:3", "xfer_fail@d2h:1",
-        "kernel_fail@kernel:7"}) {
+        "kernel_fail@kernel:2"}) {
     auto plan = fault::FaultPlan::parse(spec);
     device::DeviceContext ctx(device::DeviceSpec::small_test_device(4 << 20));
     obs::Tracer tracer;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/rng.hpp"
+
 namespace gpclust::util {
 namespace {
 
@@ -61,6 +63,45 @@ TEST(Prime, PowmodKnownValues) {
   EXPECT_EQ(powmod(5, 0, 13), 1u);
   // Fermat's little theorem: a^(p-1) = 1 mod p.
   EXPECT_EQ(powmod(123456789ULL, kMersenne61 - 1, kMersenne61), 1u);
+}
+
+/// (a * v + b) mod 2^61-1 by 128-bit division.
+u64 affine_reference(u64 a, u64 b, u64 v) {
+  const __uint128_t p = kMersenne61;
+  return static_cast<u64>(
+      (static_cast<__uint128_t>(a) * (v % kMersenne61) % p + b) % p);
+}
+
+TEST(Prime, MersenneAffineMatchesDivisionOnEdgeCases) {
+  const u64 p = kMersenne61;
+  const u64 vs[] = {0, 1, p - 1, p, p + 1, u64{1} << 61, ~u64{0}};
+  const u64 as[] = {1, p - 1};
+  const u64 bs[] = {0, p - 1};
+  for (u64 v : vs) {
+    for (u64 a : as) {
+      for (u64 b : bs) {
+        EXPECT_EQ(affine_mod_mersenne61(a, b, v), affine_reference(a, b, v))
+            << "a=" << a << " b=" << b << " v=" << v;
+      }
+    }
+  }
+}
+
+TEST(Prime, MersenneAffineMatchesDivisionOnRandomTriples) {
+  const u64 p = kMersenne61;
+  Xoshiro256 rng(61);
+  u64 mismatches = 0;
+  for (int i = 0; i < 1'200'000; ++i) {
+    const u64 a = rng.next() % p;
+    const u64 b = rng.next() % p;
+    // Mix full-width ids with ids just around multiples of p.
+    const u64 raw = rng.next();
+    const u64 v = (i % 4 == 0) ? p * (raw % 8) + raw % 3 - 1 : raw;
+    if (affine_mod_mersenne61(a, b, v) != affine_reference(a, b, v)) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 }  // namespace
