@@ -22,25 +22,6 @@ device::DeviceContext& bench_ctx() {
   return ctx;
 }
 
-void BM_DeviceTransformHash(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  auto& ctx = bench_ctx();
-  std::vector<u32> host(n);
-  util::Xoshiro256 rng(1);
-  for (auto& x : host) x = static_cast<u32>(rng.next());
-  device::DeviceVector<u32> in(ctx, n);
-  device::copy_to_device<u32>(in, host);
-  device::DeviceVector<u64> out(ctx, n);
-  const core::AffineHash h{.a = 0x9e3779b9, .b = 12345};
-  for (auto _ : state) {
-    device::transform(in, out, [h](u32 v) { return h(v); });
-    benchmark::DoNotOptimize(out.device_span().data());
-  }
-  state.SetItemsProcessed(static_cast<i64>(state.iterations()) *
-                          static_cast<i64>(n));
-}
-BENCHMARK(BM_DeviceTransformHash)->Range(1 << 10, 1 << 20);
-
 void BM_DeviceSegmentedMinS(benchmark::State& state) {
   // The fused shingling kernel: hash + per-segment s-minima in one pass.
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -37,7 +37,8 @@ std::vector<CandidatePair> find_candidate_pairs_lsh(
     obs::Tracer* tracer, std::size_t* peak_candidate_bytes) {
   config.validate();
   const std::size_t n = sequences.size();
-  const u64 width = config.num_bands * config.rows_per_band;
+  const seq::BandLayout layout{config.num_bands, config.rows_per_band};
+  const u64 width = layout.width();
 
   // Live-buffer high-water mark (size-based, deterministic). The residue
   // strings themselves are shared input, counted by neither seed path.
@@ -68,48 +69,39 @@ std::vector<CandidatePair> find_candidate_pairs_lsh(
   const std::size_t sig_bytes = signatures.size() * sizeof(u64);
   note_peak(sig_bytes + scratch_peak);
 
-  // Stream the bands: per band, a (band key, seq) table, its within-bucket
-  // pair expansion, and a merge into the accumulated pair set. A sequence
-  // lands in exactly one bucket per band, so a band's pair list is
-  // duplicate-free by construction; sorting the table by (key, seq) makes
-  // it pair-key-sorted for free. With the default min_band_hits == 1 the
+  // Stream the bands: per band, a band table (seq/sketch.hpp; empty
+  // sketches stay out of it), its within-bucket pair expansion, and a
+  // merge into the accumulated pair set. A sequence lands in exactly one
+  // bucket per band, so a band's pair list is duplicate-free by
+  // construction; the table's (key, band, id) order makes it
+  // pair-key-sorted for free. With the default min_band_hits == 1 the
   // per-pair collision counts are irrelevant, so the accumulator is a
   // plain sorted key-set union (8 bytes per pair — the accumulator is the
   // quadratic term of the stage's memory); only min_band_hits > 1 keeps a
   // parallel hit-count array.
   const bool count_hits = config.min_band_hits > 1;
-  std::vector<std::pair<u64, u32>> entries;
+  std::vector<seq::BandEntry> entries;
   std::vector<u64> band_pairs;
   std::vector<u64> accum, merged;           // sorted distinct pair keys
   std::vector<u32> accum_hits, merged_hits; // parallel, only if count_hits
   for (u64 band = 0; band < config.num_bands; ++band) {
     entries.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::span<const u64> rows =
-          std::span<const u64>(signatures)
-              .subspan(i * width + band * config.rows_per_band,
-                       config.rows_per_band);
-      // Sequences shorter than k sketch to all-empty slots; like the
-      // postings path (and the serve-side bucket table) they can never
-      // seed, so keep them out of every bucket.
-      if (rows.front() == seq::kEmptySketchSlot) continue;
-      entries.emplace_back(seq::band_key(band, rows), static_cast<u32>(i));
-    }
+    seq::append_band_entries(signatures, layout, band, 0, entries);
     std::sort(entries.begin(), entries.end());
 
+    // The table holds one band, so a bucket is a run of equal keys.
     band_pairs.clear();
     for (std::size_t lo = 0; lo < entries.size();) {
       std::size_t hi = lo;
-      while (hi < entries.size() && entries[hi].first == entries[lo].first) {
+      while (hi < entries.size() && entries[hi].key == entries[lo].key) {
         ++hi;
       }
       const std::size_t occupancy = hi - lo;
       if (occupancy >= 2 && occupancy <= config.max_bucket_size) {
         for (std::size_t x = lo; x < hi; ++x) {
           for (std::size_t y = x + 1; y < hi; ++y) {
-            band_pairs.push_back(
-                (static_cast<u64>(entries[x].second) << 32) |
-                entries[y].second);
+            band_pairs.push_back((static_cast<u64>(entries[x].id) << 32) |
+                                 entries[y].id);
           }
         }
       }

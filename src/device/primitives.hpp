@@ -29,29 +29,12 @@ DeviceContext& ctx_of(const DeviceVector<T>& v) {
 }
 }  // namespace detail
 
-/// out[i] = f(in[i]) for i in [0, n). n defaults to in.size().
-/// Models one map kernel of n elements.
-template <typename T, typename U, typename F>
-double transform(const DeviceVector<T>& in, DeviceVector<U>& out, F f,
-                 StreamId stream = kDefaultStream, double ready_after = 0.0) {
-  DeviceContext& ctx = detail::ctx_of(in);
-  detail::maybe_inject_kernel_fault(ctx, "transform");
-  GPCLUST_CHECK(out.context() == &ctx, "vectors belong to different devices");
-  GPCLUST_CHECK(out.size() >= in.size(), "output too small");
-  auto src = in.device_span();
-  auto dst = out.device_span();
-  ctx.pool().parallel_for(0, src.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) dst[i] = f(src[i]);
-  });
-  return ctx.timeline().enqueue(stream, OpKind::Kernel,
-                                ctx.transform_cost(src.size()), ready_after);
-}
-
-/// out[i] = f(in[i]) like transform(), but for kernels whose per-element
-/// work is data-dependent: the modeled duration is charged from the
-/// caller-supplied total work via DeviceContext::align_cost instead of the
-/// element count. This is the batched Smith-Waterman verification kernel's
-/// shape — one task per candidate pair, |a| * |b| DP cells per task.
+/// out[i] = f(in[i]) for i in [0, in.size()), a map kernel whose
+/// per-element work is data-dependent: the modeled duration is charged
+/// from the caller-supplied total work via DeviceContext::align_cost
+/// instead of the element count. This is the batched Smith-Waterman
+/// verification kernel's shape — one task per candidate pair, |a| * |b|
+/// DP cells per task.
 template <typename T, typename U, typename F>
 double transform_weighted(const DeviceVector<T>& in, DeviceVector<U>& out, F f,
                           std::size_t total_cells,
@@ -184,22 +167,6 @@ double sort_by_key(DeviceVector<K>& keys, DeviceVector<V>& values,
                                 ctx.sort_cost(ks.size()), ready_after);
 }
 
-/// Sum-reduction (thrust::reduce). The result is returned to the host,
-/// so a tiny D2H transfer is also charged, as Thrust does.
-template <typename T>
-T reduce(const DeviceVector<T>& data, T init,
-         StreamId stream = kDefaultStream) {
-  DeviceContext& ctx = detail::ctx_of(data);
-  detail::maybe_inject_kernel_fault(ctx, "reduce");
-  auto sp = data.device_span();
-  const T total = std::accumulate(sp.begin(), sp.end(), init);
-  const double done = ctx.timeline().enqueue(
-      stream, OpKind::Kernel, ctx.transform_cost(sp.size()), 0.0);
-  ctx.timeline().enqueue(stream, OpKind::CopyD2H, ctx.d2h_cost(sizeof(T)),
-                         done);
-  return total;
-}
-
 /// Exclusive prefix sum (thrust::exclusive_scan), in place.
 template <typename T>
 double exclusive_scan(DeviceVector<T>& data, T init,
@@ -214,20 +181,6 @@ double exclusive_scan(DeviceVector<T>& data, T init,
     x = running;
     running = next;
   }
-  return ctx.timeline().enqueue(stream, OpKind::Kernel,
-                                ctx.transform_cost(sp.size()), ready_after);
-}
-
-/// data[i] = value for all i (thrust::fill).
-template <typename T>
-double fill(DeviceVector<T>& data, T value, StreamId stream = kDefaultStream,
-            double ready_after = 0.0) {
-  DeviceContext& ctx = detail::ctx_of(data);
-  detail::maybe_inject_kernel_fault(ctx, "fill");
-  auto sp = data.device_span();
-  ctx.pool().parallel_for(0, sp.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) sp[i] = value;
-  });
   return ctx.timeline().enqueue(stream, OpKind::Kernel,
                                 ctx.transform_cost(sp.size()), ready_after);
 }
@@ -247,57 +200,6 @@ double inclusive_scan(DeviceVector<T>& data,
   }
   return ctx.timeline().enqueue(stream, OpKind::Kernel,
                                 ctx.transform_cost(sp.size()), ready_after);
-}
-
-/// Removes consecutive duplicates in place (thrust::unique); returns the
-/// new logical element count. The allocation keeps its size; callers copy
-/// out the leading `count` elements.
-template <typename T>
-std::size_t unique(DeviceVector<T>& data, StreamId stream = kDefaultStream) {
-  DeviceContext& ctx = detail::ctx_of(data);
-  detail::maybe_inject_kernel_fault(ctx, "unique");
-  auto sp = data.device_span();
-  const auto end = std::unique(sp.begin(), sp.end());
-  ctx.timeline().enqueue(stream, OpKind::Kernel, ctx.transform_cost(sp.size()),
-                         0.0);
-  return static_cast<std::size_t>(end - sp.begin());
-}
-
-/// Number of elements satisfying pred (thrust::count_if). Charges the scan
-/// kernel plus the scalar result transfer.
-template <typename T, typename Pred>
-std::size_t count_if(const DeviceVector<T>& data, Pred pred,
-                     StreamId stream = kDefaultStream) {
-  DeviceContext& ctx = detail::ctx_of(data);
-  detail::maybe_inject_kernel_fault(ctx, "count_if");
-  auto sp = data.device_span();
-  const std::size_t count = static_cast<std::size_t>(
-      std::count_if(sp.begin(), sp.end(), pred));
-  const double done = ctx.timeline().enqueue(
-      stream, OpKind::Kernel, ctx.transform_cost(sp.size()), 0.0);
-  ctx.timeline().enqueue(stream, OpKind::CopyD2H,
-                         ctx.d2h_cost(sizeof(std::size_t)), done);
-  return count;
-}
-
-/// Stable-compacts elements satisfying pred into `out` (thrust::copy_if);
-/// returns the number written. `out` must be at least as large as `in`.
-template <typename T, typename Pred>
-std::size_t copy_if(const DeviceVector<T>& in, DeviceVector<T>& out, Pred pred,
-                    StreamId stream = kDefaultStream, double ready_after = 0.0) {
-  DeviceContext& ctx = detail::ctx_of(in);
-  detail::maybe_inject_kernel_fault(ctx, "copy_if");
-  GPCLUST_CHECK(out.context() == &ctx, "vectors belong to different devices");
-  GPCLUST_CHECK(out.size() >= in.size(), "output too small");
-  auto src = in.device_span();
-  auto dst = out.device_span();
-  std::size_t count = 0;
-  for (const T& x : src) {
-    if (pred(x)) dst[count++] = x;
-  }
-  ctx.timeline().enqueue(stream, OpKind::Kernel, ctx.transform_cost(src.size()),
-                         ready_after);
-  return count;
 }
 
 /// Segment-reduces runs of equal keys (thrust::reduce_by_key): writes one

@@ -179,7 +179,8 @@ IngestSession::SeedOutput IngestSession::incremental_seed_lsh(
     std::size_t first_new) const {
   const align::LshSeedConfig& cfg = config_.graph.lsh;
   cfg.validate();
-  const u64 width = cfg.num_bands * cfg.rows_per_band;
+  const seq::BandLayout layout{cfg.num_bands, cfg.rows_per_band};
+  const u64 width = layout.width();
   SeedOutput out;
 
   // Sketch the batch with the session's fixed permutation set.
@@ -193,70 +194,44 @@ IngestSession::SeedOutput IngestSession::incremental_seed_lsh(
         scratch, std::span<u64>(out.new_signatures).subspan(i * width, width));
   }
 
-  // New bucket entries, merged into the standing (band, key, seq) order.
-  // Empty sketches (sequences shorter than k) stay out of every bucket,
-  // like both from-scratch paths.
-  std::vector<BandEntry> fresh;
+  // New band-table entries, merged into the standing table in its own
+  // order.
+  std::vector<seq::BandEntry> fresh;
   for (u64 band = 0; band < cfg.num_bands; ++band) {
-    for (std::size_t i = 0; i < num_new; ++i) {
-      const std::span<const u64> rows =
-          std::span<const u64>(out.new_signatures)
-              .subspan(i * width + band * cfg.rows_per_band,
-                       cfg.rows_per_band);
-      if (rows.front() == seq::kEmptySketchSlot) continue;
-      fresh.push_back({seq::band_key(band, rows), static_cast<u32>(band),
-                       static_cast<u32>(first_new + i)});
-    }
+    seq::append_band_entries(out.new_signatures, layout, band,
+                             static_cast<u32>(first_new), fresh);
   }
-  const auto by_band_key_seq = [](const BandEntry& x, const BandEntry& y) {
-    return std::tuple(x.band, x.key, x.seq) < std::tuple(y.band, y.key, y.seq);
-  };
-  std::sort(fresh.begin(), fresh.end(), by_band_key_seq);
+  std::sort(fresh.begin(), fresh.end());
   out.merged_entries.resize(entries_.size() + fresh.size());
   std::merge(entries_.begin(), entries_.end(), fresh.begin(), fresh.end(),
-             out.merged_entries.begin(), by_band_key_seq);
-  const auto& merged = out.merged_entries;
+             out.merged_entries.begin());
 
   // Walk each bucket the batch touched once. A sequence lands in exactly
   // one bucket per band, so a pair shares at most one bucket per band and
   // the per-pair hit counts need no within-band dedup. Occupancy is
   // monotone under appends: old-old pairs only ever lose buckets (to
-  // masking), never gain them.
+  // masking), never gain them. A bucket's ids ascend, so its old members
+  // are a prefix.
   std::vector<u64> hits;  ///< one key per (pair, colliding unmasked bucket)
   for (std::size_t flo = 0; flo < fresh.size();) {
-    std::size_t fhi = flo;
-    while (fhi < fresh.size() && fresh[fhi].band == fresh[flo].band &&
-           fresh[fhi].key == fresh[flo].key) {
-      ++fhi;
-    }
-    const BandEntry probe{fresh[flo].key, fresh[flo].band, 0};
-    flo = fhi;
+    const seq::BandEntry& first = fresh[flo];
+    flo += seq::band_bucket(fresh, first.band, first.key).size();
+    const std::span<const seq::BandEntry> run =
+        seq::band_bucket(out.merged_entries, first.band, first.key);
 
-    const auto run =
-        std::equal_range(merged.begin(), merged.end(), probe,
-                         [](const BandEntry& x, const BandEntry& y) {
-                           return std::tuple(x.band, x.key) <
-                                  std::tuple(y.band, y.key);
-                         });
-    const std::size_t lo = static_cast<std::size_t>(run.first - merged.begin());
-    const std::size_t hi =
-        static_cast<std::size_t>(run.second - merged.begin());
-    const std::size_t occupancy = hi - lo;
-    std::size_t old_end = lo;
-    while (old_end < hi && merged[old_end].seq < first_new) ++old_end;
-    const std::size_t n_old = old_end - lo;
-
-    if (occupancy >= 2 && occupancy <= cfg.max_bucket_size) {
-      for (std::size_t x = lo; x < hi; ++x) {
-        for (std::size_t y = std::max(x + 1, old_end); y < hi; ++y) {
-          hits.push_back(pair_key(merged[x].seq, merged[y].seq));
+    std::size_t old_end = 0;
+    while (old_end < run.size() && run[old_end].id < first_new) ++old_end;
+    if (run.size() >= 2 && run.size() <= cfg.max_bucket_size) {
+      for (std::size_t x = 0; x < run.size(); ++x) {
+        for (std::size_t y = std::max(x + 1, old_end); y < run.size(); ++y) {
+          hits.push_back(pair_key(run[x].id, run[y].id));
         }
       }
-    } else if (n_old >= 2 && n_old <= cfg.max_bucket_size &&
-               occupancy > cfg.max_bucket_size) {
-      for (std::size_t x = lo; x < old_end; ++x) {
+    } else if (old_end >= 2 && old_end <= cfg.max_bucket_size &&
+               run.size() > cfg.max_bucket_size) {
+      for (std::size_t x = 0; x < old_end; ++x) {
         for (std::size_t y = x + 1; y < old_end; ++y) {
-          out.dirty_keys.push_back(pair_key(merged[x].seq, merged[y].seq));
+          out.dirty_keys.push_back(pair_key(run[x].id, run[y].id));
         }
       }
     }
@@ -304,35 +279,26 @@ bool IngestSession::still_candidate_kmer(
 
 bool IngestSession::still_candidate_lsh(
     u32 a, u32 b, const std::vector<u64>& signatures,
-    const std::vector<BandEntry>& entries) const {
+    const std::vector<seq::BandEntry>& entries) const {
   // The exact recount (unmasked shared codes) is a pure pair function and
   // the pair already passed it when its edge was admitted, so only the
   // band-collision threshold can revoke candidacy.
   const align::LshSeedConfig& cfg = config_.graph.lsh;
-  const u64 width = cfg.num_bands * cfg.rows_per_band;
+  const seq::BandLayout layout{cfg.num_bands, cfg.rows_per_band};
+  const u64 width = layout.width();
+  const std::span<const u64> sig_a =
+      std::span<const u64>(signatures).subspan(a * width, width);
+  const std::span<const u64> sig_b =
+      std::span<const u64>(signatures).subspan(b * width, width);
+  if (sig_a.front() == seq::kEmptySketchSlot ||
+      sig_b.front() == seq::kEmptySketchSlot) {
+    return false;
+  }
   u32 band_hits = 0;
   for (u64 band = 0; band < cfg.num_bands; ++band) {
-    const std::span<const u64> rows_a =
-        std::span<const u64>(signatures)
-            .subspan(a * width + band * cfg.rows_per_band, cfg.rows_per_band);
-    const std::span<const u64> rows_b =
-        std::span<const u64>(signatures)
-            .subspan(b * width + band * cfg.rows_per_band, cfg.rows_per_band);
-    if (rows_a.front() == seq::kEmptySketchSlot ||
-        rows_b.front() == seq::kEmptySketchSlot) {
-      continue;
-    }
-    const u64 key_a = seq::band_key(band, rows_a);
-    if (key_a != seq::band_key(band, rows_b)) continue;
-    const BandEntry probe{key_a, static_cast<u32>(band), 0};
-    const auto run =
-        std::equal_range(entries.begin(), entries.end(), probe,
-                         [](const BandEntry& x, const BandEntry& y) {
-                           return std::tuple(x.band, x.key) <
-                                  std::tuple(y.band, y.key);
-                         });
-    const std::size_t occupancy =
-        static_cast<std::size_t>(run.second - run.first);
+    const u64 key = seq::band_key(layout, sig_a, band);
+    if (key != seq::band_key(layout, sig_b, band)) continue;
+    const std::size_t occupancy = seq::band_bucket(entries, band, key).size();
     if (occupancy >= 2 && occupancy <= cfg.max_bucket_size) {
       if (++band_hits >= cfg.min_band_hits) return true;
     }

@@ -145,16 +145,11 @@ class IngestSession {
   store::FamilyStore store() const;
 
  private:
-  struct BandEntry {
-    u64 key;
-    u32 band;
-    u32 seq;
-  };
   struct SeedOutput {
     std::vector<align::CandidatePair> pairs;  ///< new-involving, (a,b)-asc
     std::vector<u64> dirty_keys;              ///< old-old (a<<32|b), sorted
     std::vector<seq::KmerPosting> merged_postings;  ///< KmerCount staging
-    std::vector<BandEntry> merged_entries;    ///< MinHashLsh staging
+    std::vector<seq::BandEntry> merged_entries;  ///< MinHashLsh staging
     std::vector<u64> new_signatures;          ///< MinHashLsh staging
   };
 
@@ -163,7 +158,7 @@ class IngestSession {
   bool still_candidate_kmer(
       u32 a, u32 b, const std::vector<seq::KmerPosting>& postings) const;
   bool still_candidate_lsh(u32 a, u32 b, const std::vector<u64>& signatures,
-                           const std::vector<BandEntry>& entries) const;
+                           const std::vector<seq::BandEntry>& entries) const;
   core::Clustering cluster_graph(const graph::CsrGraph& g) const;
 
   IngestConfig config_;
@@ -174,7 +169,7 @@ class IngestSession {
 
   // Standing seed index (exactly one populated, per config_.graph.seed_mode).
   std::vector<seq::KmerPosting> postings_;  ///< sorted by (code, id)
-  std::vector<BandEntry> entries_;     ///< sorted by (band, key, seq)
+  std::vector<seq::BandEntry> entries_;  ///< band table, sorted
   std::vector<u64> signatures_;        ///< per-seq min-hash rows (LSH width)
   std::optional<seq::SketchHashes> sketch_hashes_;
 

@@ -1,6 +1,7 @@
 #include "seq/sketch.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "seq/alphabet.hpp"
 #include "util/parallel_sort.hpp"
@@ -31,12 +32,38 @@ void SketchHashes::sketch(std::span<const u64> codes,
   }
 }
 
-u64 band_key(u64 band, std::span<const u64> slots) {
+u64 band_key(const BandLayout& layout, std::span<const u64> row, u64 band) {
+  GPCLUST_CHECK(row.size() == layout.width() && band < layout.num_bands,
+                "band outside the signature row");
   u64 h = 0x9e3779b97f4a7c15ull * (band + 1);
-  for (u64 s : slots) {
+  for (u64 s : row.subspan(band * layout.rows_per_band, layout.rows_per_band)) {
     h ^= s + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   }
   return h;
+}
+
+void append_band_entries(std::span<const u64> signatures,
+                         const BandLayout& layout, u64 band, u32 first_id,
+                         std::vector<BandEntry>& table) {
+  const u64 width = layout.width();
+  GPCLUST_CHECK(width > 0 && signatures.size() % width == 0,
+                "signatures are not whole rows");
+  for (std::size_t i = 0; i * width < signatures.size(); ++i) {
+    const std::span<const u64> row = signatures.subspan(i * width, width);
+    if (row.front() == kEmptySketchSlot) continue;
+    table.push_back({band_key(layout, row, band), static_cast<u32>(band),
+                     static_cast<u32>(first_id + i)});
+  }
+}
+
+std::span<const BandEntry> band_bucket(std::span<const BandEntry> table,
+                                       u64 band, u64 key) {
+  const auto [first, last] = std::equal_range(
+      table.begin(), table.end(), BandEntry{key, static_cast<u32>(band), 0},
+      [](const BandEntry& x, const BandEntry& y) {
+        return std::tie(x.key, x.band) < std::tie(y.key, y.band);
+      });
+  return {first, last};
 }
 
 namespace {

@@ -9,8 +9,13 @@
 //   * store/signature + serve/bucket_index — per-representative snapshot
 //     signatures (format v2) and the serve-tier bucketed seed index
 //     (DESIGN.md §13);
-//   * align/lsh_seeds — the build-side banded MinHash/LSH candidate
-//     generator in front of the homology-graph verify cascade (§14).
+//   * align/lsh_seeds and ingest — the build-side banded MinHash/LSH
+//     candidate generator in front of the homology-graph verify cascade
+//     (§14) and its incremental form (§15).
+//
+// The banded sketches of all three live in one bucket table type,
+// BandEntry, with one builder (append_band_entries) and one probe
+// (band_bucket).
 //
 // The derivation (seed xor, A/B draw order, apply formula, empty-slot
 // value) is pinned by the committed v1/v2 snapshot fixtures: changing any
@@ -56,13 +61,55 @@ class SketchHashes {
   std::vector<u64> b_;
 };
 
-/// Deterministic band-key mix (hash_combine style) over a band's sketch
-/// slots. Collisions between different bands or different slot contents
-/// only cost a false candidate that an exact recount filters, so mixing
-/// quality is a constant-factor knob, not a correctness one. Shared by the
-/// serve-side bucket table and the build-side LSH seed stage so a band key
-/// means the same thing everywhere.
-u64 band_key(u64 band, std::span<const u64> slots);
+/// How a signature row splits into bands: `num_bands` bands of
+/// `rows_per_band` consecutive slots, `width()` slots per row.
+struct BandLayout {
+  u64 num_bands = 0;
+  u64 rows_per_band = 0;
+
+  u64 width() const { return num_bands * rows_per_band; }
+};
+
+/// Bucket key of band `band` of the signature `row` (width() slots): a
+/// deterministic hash_combine-style mix over slots
+/// [band * rows_per_band, (band + 1) * rows_per_band). The one place a row
+/// is sliced into bands, so a band key means the same thing in the
+/// build-side LSH seed stage, ingest and the serve-side bucket table.
+/// Collisions between different slot contents only cost a false candidate
+/// that an exact recount filters, so mixing quality is a constant-factor
+/// knob, not a correctness one.
+u64 band_key(const BandLayout& layout, std::span<const u64> row, u64 band);
+
+/// One entry of a banded min-hash bucket table: band `band` of sequence
+/// (or representative) `id` hashes to `key`. The defaulted order is
+/// (key, band, id), so a bucket -- the entries sharing (key, band) -- is
+/// one contiguous run with ascending ids.
+struct BandEntry {
+  u64 key = 0;
+  u32 band = 0;
+  u32 id = 0;
+
+  friend auto operator<=>(const BandEntry&, const BandEntry&) = default;
+};
+static_assert(sizeof(BandEntry) == 16,
+              "a band entry is one u64 key plus two u32 fields");
+
+/// The band-table builder shared by the LSH seed stage (align/lsh_seeds),
+/// ingest (ingest/ingest_session) and the serve bucket index
+/// (serve/bucket_index): appends band `band`'s entry of every row of
+/// `signatures` -- back-to-back rows of `layout.width()` slots, row i
+/// belonging to id `first_id + i` -- to `table`, unsorted. Empty sketches
+/// (sequences shorter than k, kEmptySketchSlot) can never seed the
+/// postings path either, so they stay out of every bucket.
+void append_band_entries(std::span<const u64> signatures,
+                         const BandLayout& layout, u64 band, u32 first_id,
+                         std::vector<BandEntry>& table);
+
+/// The bucket (band, key) of the sorted `table`: the one band-table probe.
+/// Entries of other bands never match, even when their 64-bit keys
+/// collide with `key`.
+std::span<const BandEntry> band_bucket(std::span<const BandEntry> table,
+                                       u64 band, u64 key);
 
 /// Appends the sorted distinct k-mer codes of `residues` to `out`
 /// (cleared first); codes are base-kNumResidues over residue indices,

@@ -6,11 +6,6 @@
 
 namespace gpclust::serve {
 
-// Band keys come from the shared sketch module (seq/sketch.hpp) so a
-// band's bucket key means the same thing here and in the build-side LSH
-// seed stage (align/lsh_seeds).
-using seq::band_key;
-
 BucketIndex::BucketIndex(const store::FamilyStore& store,
                          const BucketIndexParams& params,
                          std::span<const u32> reps)
@@ -20,6 +15,7 @@ BucketIndex::BucketIndex(const store::FamilyStore& store,
   params_.validate(store.sig_num_hashes);
   GPCLUST_CHECK(params_.num_bands > 0,
                 "num_bands == 0 is the postings scan; it has no bucket table");
+  layout_ = {params_.num_bands, store.sig_num_hashes / params_.num_bands};
   GPCLUST_CHECK(store.signatures.size() ==
                     store.representatives.size() * store.sig_num_hashes,
                 "store signatures missing or malformed");
@@ -33,18 +29,16 @@ BucketIndex::BucketIndex(const store::FamilyStore& store,
 
   rep_codes_ = store::group_rep_codes(store, covered);
 
-  const u64 rows = store.sig_num_hashes / params_.num_bands;
+  // Reps shorter than k have an all-empty signature; the builder keeps
+  // them out of every bucket, as they can never seed the postings scan.
+  const u64 width = layout_.width();
   table_.reserve(static_cast<std::size_t>(params_.num_bands) * num_reps);
   for (std::size_t r = 0; r < num_reps; ++r) {
-    // Reps shorter than k have no codes and an all-empty signature; they
-    // can never seed the postings scan, so keep them out of every bucket.
-    if (rep_codes_.offsets[r] == rep_codes_.offsets[r + 1]) continue;
+    if (!covered[r]) continue;
     const std::span<const u64> sig =
-        std::span<const u64>(store.signatures)
-            .subspan(r * store.sig_num_hashes, store.sig_num_hashes);
+        std::span<const u64>(store.signatures).subspan(r * width, width);
     for (u64 b = 0; b < params_.num_bands; ++b) {
-      table_.emplace_back(band_key(b, sig.subspan(b * rows, rows)),
-                          static_cast<u32>(r));
+      seq::append_band_entries(sig, layout_, b, static_cast<u32>(r), table_);
     }
   }
   std::sort(table_.begin(), table_.end());
@@ -63,20 +57,13 @@ void BucketIndex::probe(std::span<const u64> query_codes,
                         std::vector<u32>& hits) const {
   if (query_codes.empty()) return;
   // Sketch the query with the store's permutations, then probe one bucket
-  // per band. Band keys are unordered across bands, so each probe is an
-  // independent equal_range.
-  const u64 rows = store_.sig_num_hashes / params_.num_bands;
+  // per band.
   query_sig.resize(store_.sig_num_hashes);
   hashes_.sketch(query_codes, query_sig);
   for (u64 b = 0; b < params_.num_bands; ++b) {
-    const u64 key =
-        band_key(b, std::span<const u64>(query_sig).subspan(b * rows, rows));
-    auto it = std::lower_bound(table_.begin(), table_.end(), key,
-                               [](const std::pair<u64, u32>& e, u64 k) {
-                                 return e.first < k;
-                               });
-    for (; it != table_.end() && it->first == key; ++it) {
-      hits.push_back(it->second);
+    for (const seq::BandEntry& e :
+         seq::band_bucket(table_, b, seq::band_key(layout_, query_sig, b))) {
+      hits.push_back(e.id);
     }
   }
 }

@@ -3,8 +3,9 @@
 // (DESIGN.md §13): the banded min-hash signatures the store carries per
 // representative (store/signature.hpp) are sliced into
 // `sig_num_hashes / num_bands` slots per band, each band hashed to a
-// bucket key, and queries are classified by probing the resulting
-// (key, rep) table instead of scanning the exact k-mer postings. A rep is
+// bucket key, and queries are classified by probing the resulting band
+// table (seq::BandEntry, the one the build-side LSH seed stage and ingest
+// use) instead of scanning the exact k-mer postings. A rep is
 // a candidate when at least `min_band_hits` of its band keys collide with
 // the query's; recall is probabilistic and tunable by banding. Candidate
 // cost then scales with bucket occupancy — reps that actually collide
@@ -18,9 +19,9 @@
 // bucket stage.
 
 #include <span>
-#include <utility>
 #include <vector>
 
+#include "seq/sketch.hpp"
 #include "store/signature.hpp"
 #include "store/snapshot.hpp"
 #include "util/common.hpp"
@@ -76,8 +77,11 @@ class BucketIndex {
   BucketIndexParams params_;
   store::SignatureHashes hashes_;
 
-  /// (band key, rep), sorted.
-  std::vector<std::pair<u64, u32>> table_;
+  /// Signature rows split into num_bands bands.
+  seq::BandLayout layout_;
+
+  /// Covered reps' band table (seq/sketch.hpp), sorted.
+  std::vector<seq::BandEntry> table_;
 
   /// Covered reps' sorted distinct k-mer codes (the exact-count side of
   /// probing).

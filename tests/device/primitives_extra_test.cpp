@@ -1,5 +1,4 @@
-// Tests for the extended Thrust-parity primitives (fill, scans, unique,
-// count_if/copy_if, reduce_by_key).
+// Tests for the extended Thrust-parity primitives (scans, reduce_by_key).
 
 #include <gtest/gtest.h>
 
@@ -28,12 +27,6 @@ class PrimitivesExtraTest : public ::testing::Test {
   }
 };
 
-TEST_F(PrimitivesExtraTest, Fill) {
-  DeviceVector<u32> dev(ctx_, 5);
-  fill(dev, 9u);
-  EXPECT_EQ(download(dev), (std::vector<u32>{9, 9, 9, 9, 9}));
-}
-
 TEST_F(PrimitivesExtraTest, InclusiveScan) {
   auto dev = upload<u64>({1, 2, 3, 4});
   inclusive_scan(dev);
@@ -54,27 +47,6 @@ TEST_F(PrimitivesExtraTest, ScansAgree) {
   for (std::size_t i = 0; i + 1 < host.size(); ++i) {
     EXPECT_EQ(iv[i], ev[i + 1]);
   }
-}
-
-TEST_F(PrimitivesExtraTest, UniqueCollapsesRuns) {
-  auto dev = upload<u32>({1, 1, 2, 3, 3, 3, 4});
-  const std::size_t count = unique(dev);
-  EXPECT_EQ(count, 4u);
-  EXPECT_EQ(download(dev, count), (std::vector<u32>{1, 2, 3, 4}));
-}
-
-TEST_F(PrimitivesExtraTest, CountIf) {
-  auto dev = upload<u32>({1, 2, 3, 4, 5, 6});
-  EXPECT_EQ(count_if(dev, [](u32 x) { return x % 2 == 0; }), 3u);
-  EXPECT_EQ(count_if(dev, [](u32 x) { return x > 100; }), 0u);
-}
-
-TEST_F(PrimitivesExtraTest, CopyIfCompactsStably) {
-  auto in = upload<u32>({5, 2, 8, 1, 9, 4});
-  DeviceVector<u32> out(ctx_, 6);
-  const std::size_t count = copy_if(in, out, [](u32 x) { return x >= 5; });
-  EXPECT_EQ(count, 3u);
-  EXPECT_EQ(download(out, count), (std::vector<u32>{5, 8, 9}));
 }
 
 TEST_F(PrimitivesExtraTest, ReduceByKeySumsRuns) {
@@ -119,18 +91,22 @@ TEST_F(PrimitivesExtraTest, SizeValidation) {
 
   auto in = upload<u32>({1, 2, 3});
   DeviceVector<u32> small(ctx_, 1);
-  EXPECT_THROW(copy_if(in, small, [](u32) { return true; }), InvalidArgument);
+  EXPECT_THROW(transform_weighted(in, small, [](u32 x) { return x; }, 3),
+               InvalidArgument);
 }
 
 TEST_F(PrimitivesExtraTest, AllChargeKernelTime) {
   auto dev = upload<u32>(std::vector<u32>(1000, 1));
+  auto keys = upload<u64>(std::vector<u64>(1000, 7));
+  DeviceVector<u32> out(ctx_, 1000);
+  DeviceVector<u64> out_keys(ctx_, 1000);
   ctx_.reset_timeline();
-  fill(dev, 2u);
+  transform_weighted(dev, out, [](u32 x) { return x + 1; }, 1000);
   inclusive_scan(dev);
-  unique(dev);
-  count_if(dev, [](u32) { return true; });
+  exclusive_scan(dev, 0u);
+  reduce_by_key(keys, dev, out_keys, out);
   EXPECT_GT(ctx_.gpu_seconds(), 0.0);
-  EXPECT_GT(ctx_.timeline().num_ops(), 3u);
+  EXPECT_EQ(ctx_.timeline().num_ops(), 4u);
 }
 
 }  // namespace

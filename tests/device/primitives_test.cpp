@@ -33,7 +33,7 @@ class PrimitivesTest : public ::testing::Test {
 TEST_F(PrimitivesTest, TransformAppliesFunctor) {
   auto in = upload<u32>({1, 2, 3, 4});
   DeviceVector<u32> out(ctx_, 4);
-  transform(in, out, [](u32 x) { return x * x; });
+  transform_weighted(in, out, [](u32 x) { return x * x; }, 4);
   EXPECT_EQ(download(out), (std::vector<u32>{1, 4, 9, 16}));
 }
 
@@ -41,8 +41,50 @@ TEST_F(PrimitivesTest, TransformChargesKernelTime) {
   auto in = upload<u32>(std::vector<u32>(1000, 1));
   DeviceVector<u32> out(ctx_, 1000);
   const double before = ctx_.gpu_seconds();
-  transform(in, out, [](u32 x) { return x; });
+  transform_weighted(in, out, [](u32 x) { return x; }, 1000);
   EXPECT_GT(ctx_.gpu_seconds(), before);
+}
+
+TEST(TransformWeighted, MapsOnThePoolAndChargesTheGivenCells) {
+  util::ThreadPool pool(4);
+  DeviceContext ctx(DeviceSpec::small_test_device(8 << 20), &pool);
+  // Enough elements that the pool splits the map.
+  std::vector<u32> host(50000);
+  std::iota(host.begin(), host.end(), 0u);
+  DeviceVector<u32> in(ctx, host.size());
+  copy_to_device<u32>(in, host);
+  DeviceVector<u64> out(ctx, host.size());
+
+  ctx.reset_timeline();
+  const double ready_after = 2.0;
+  const std::size_t cells = 123456789;
+  const double done = transform_weighted(
+      in, out, [](u32 x) { return u64{x} * x + 1; }, cells, kDefaultStream,
+      ready_after);
+  std::vector<u64> got(host.size());
+  copy_to_host<u64>(got, out);
+  for (std::size_t i = 0; i < host.size(); ++i) {
+    ASSERT_EQ(got[i], u64{host[i]} * host[i] + 1) << i;
+  }
+  // One kernel, priced by the cells it was handed, not by the elements.
+  EXPECT_DOUBLE_EQ(done, ready_after + ctx.align_cost(cells));
+  EXPECT_NE(ctx.align_cost(cells), ctx.transform_cost(host.size()));
+}
+
+TEST(TransformWeighted, OneLaunchConsumesOneKernelFaultIndex) {
+  DeviceContext ctx(DeviceSpec::small_test_device(1 << 20));
+  DeviceVector<u32> in(ctx, 3);
+  copy_to_device<u32>(in, std::vector<u32>{1, 2, 3});
+  DeviceVector<u32> out(ctx, 3);
+  const auto id = [](u32 x) { return x; };
+
+  auto plan = fault::FaultPlan::parse("kernel_fail@kernel:1");
+  ctx.set_fault_plan(&plan);
+  EXPECT_NO_THROW(transform_weighted(in, out, id, 9));
+  EXPECT_THROW(transform_weighted(in, out, id, 9), KernelError);
+  EXPECT_NO_THROW(transform_weighted(in, out, id, 9));
+  ctx.set_fault_plan(nullptr);
+  EXPECT_EQ(plan.injected(), 1u);
 }
 
 TEST_F(PrimitivesTest, SortMatchesStdSort) {
@@ -76,11 +118,6 @@ TEST_F(PrimitivesTest, SortByKeyIsStable) {
   EXPECT_EQ(download(values), (std::vector<u32>{20, 40, 10, 30}));
 }
 
-TEST_F(PrimitivesTest, ReduceSums) {
-  auto dev = upload<u64>({1, 2, 3, 4, 5});
-  EXPECT_EQ(reduce(dev, u64{100}), 115u);
-}
-
 TEST_F(PrimitivesTest, ExclusiveScan) {
   auto dev = upload<u64>({3, 1, 4, 1, 5});
   exclusive_scan(dev, u64{0});
@@ -106,7 +143,8 @@ TEST_F(PrimitivesTest, MixedContextsRejected) {
   DeviceContext other(DeviceSpec::small_test_device(1 << 20));
   auto a = upload<u32>({1, 2, 3});
   DeviceVector<u32> b(other, 3);
-  EXPECT_THROW(transform(a, b, [](u32 x) { return x; }), InvalidArgument);
+  EXPECT_THROW(transform_weighted(a, b, [](u32 x) { return x; }, 3),
+               InvalidArgument);
 }
 
 TEST_F(PrimitivesTest, KernelCostScalesWithElements) {
@@ -114,11 +152,12 @@ TEST_F(PrimitivesTest, KernelCostScalesWithElements) {
   auto big = upload<u32>(std::vector<u32>(100000, 1));
   DeviceVector<u32> out_small(ctx_, 100), out_big(ctx_, 100000);
 
+  // One DP cell per element.
   ctx_.reset_timeline();
-  transform(small, out_small, [](u32 x) { return x; });
+  transform_weighted(small, out_small, [](u32 x) { return x; }, 100);
   const double t_small = ctx_.gpu_seconds();
   ctx_.reset_timeline();
-  transform(big, out_big, [](u32 x) { return x; });
+  transform_weighted(big, out_big, [](u32 x) { return x; }, 100000);
   const double t_big = ctx_.gpu_seconds();
   EXPECT_GT(t_big, t_small * 10);
 }

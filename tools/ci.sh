@@ -1,13 +1,14 @@
 #!/usr/bin/env sh
-# CI entry point: docs checks (tier 0, no build needed), tier-1
-# verification (configure + build + full ctest with warnings-as-errors),
-# then ASan/UBSan and ThreadSanitizer builds of the unit-test binaries,
-# run directly. Mirrors
-# what a hosted CI job would do; runnable locally from the repo root:
+# CI entry point: docs checks and Python unit tests (tier 0, no build
+# needed), tier-1 verification (configure + build + full ctest with
+# warnings-as-errors), then ASan/UBSan and ThreadSanitizer builds of the
+# unit-test binaries, run directly. Mirrors what a hosted CI job would
+# do; runnable locally from the repo root:
 #
 #   sh tools/ci.sh
 #
-# The build host has one core, so everything runs sequentially (CLAUDE.md).
+# Tiers run one after another; each build already uses every core, so
+# running two at once only makes their timings noisy (CLAUDE.md).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -16,6 +17,9 @@ echo "=== tier 0: docs — markdown links + CLI flag coverage ==="
 sh tools/check_docs.sh
 echo "=== tier 0: perf-gate classification unit tests ==="
 python3 tools/test_compare_bench.py
+echo "=== tier 0: perfbench ledger unit tests ==="
+# Reads perfbench/ and leaves nothing behind there (no bytecode caches).
+PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench/tests
 
 echo "=== tier 1: configure + build + ctest (preset: ci) ==="
 cmake --preset ci
